@@ -212,11 +212,11 @@ class QCharacter:
         return row, const, delta
 
     def _pairing(self, key, row, const):
-        num = sum(r * k for r, k in zip(row, key[1:]) if r)
-        val = Fraction(num, self.rs.weight_denominator) + const
-        if val.denominator != 1:
+        m, r = divmod(sum(a * k for a, k in zip(row, key[1:]) if a),
+                      self.rs.weight_denominator)
+        if r:
             raise ValueError("weight pairs non-integrally with the chosen coroot")
-        return int(val)
+        return m + const
 
     def demazure(self, i: int) -> "QCharacter":
         """Isobaric divided-difference operator for node i (0 = affine node).
@@ -228,34 +228,24 @@ class QCharacter:
         if not 0 <= i <= self.rs.rank:
             raise ValueError("node index %d out of range" % i)
         row, const, delta = self._node_data(i)
-        if not self.truncated:
-            numer = {}
-            for key, c in self._terms.items():
-                m = self._pairing(key, row, const)
-                numer[key] = numer.get(key, 0) + c
-                k2 = tuple(a + (m + 1) * d for a, d in zip(key, delta))
-                numer[k2] = numer.get(k2, 0) - c
-            numer = {k: v for k, v in numer.items() if v}
-            out = _divide_one_minus_shift(numer, delta)
-        else:
-            out = {}
-            for key, c in self._terms.items():
-                m = self._pairing(key, row, const)
-                if m >= 0:
-                    rng = range(0, m + 1)
-                    sign = 1
-                elif m == -1:
-                    continue
-                else:
-                    rng = range(-1, m, -1)
-                    sign = -1
-                for j in rng:
-                    k2 = tuple(a + j * d for a, d in zip(key, delta))
-                    nv = out.get(k2, 0) + sign * c
-                    if nv:
-                        out[k2] = nv
-                    elif k2 in out:
-                        del out[k2]
+        out = {}
+        for key, c in self._terms.items():
+            m = self._pairing(key, row, const)
+            if m >= 0:
+                rng = range(0, m + 1)
+                sign = 1
+            elif m == -1:
+                continue
+            else:
+                rng = range(-1, m, -1)
+                sign = -1
+            for j in rng:
+                k2 = tuple(a + j * d for a, d in zip(key, delta))
+                nv = out.get(k2, 0) + sign * c
+                if nv:
+                    out[k2] = nv
+                elif k2 in out:
+                    del out[k2]
         dropped = False
         if self.depth is not None:
             bound = self.depth * self.rs.q_denominator
@@ -328,40 +318,6 @@ class QCharacter:
             coeff = int(cpart[len("coeff="):])
             terms.append((wt, q, coeff))
         return cls(rs, level, terms, depth=depth, truncated=truncated)
-
-
-def _divide_one_minus_shift(terms: dict, delta: tuple) -> dict:
-    """Exact division of a finitely supported dict by (1 - x), where
-    multiplication by x shifts keys by ``delta``.
-
-    Walks each arithmetic string key, key+delta, key+2*delta, ... from the top;
-    raises if the input is not divisible (nonzero carry past the end).
-    """
-    pivot = next(j for j, d in enumerate(delta) if d)
-    dp = delta[pivot]
-    classes = {}
-    for key, c in terms.items():
-        t, rem = divmod(key[pivot], dp)
-        cid = (rem,) + tuple(key[j] * dp - key[pivot] * delta[j]
-                             for j in range(len(delta)) if j != pivot)
-        entry = classes.setdefault(cid, [None, None, {}])
-        if entry[0] is None:
-            entry[0] = t
-            entry[1] = key
-        entry[2][t] = c
-    out = {}
-    for rep_t, rep_key, string in classes.values():
-        ts = sorted(string)
-        t0, t1 = ts[0], ts[-1]
-        base = tuple(k - rep_t * d for k, d in zip(rep_key, delta))
-        acc = 0
-        for t in range(t0, t1 + 1):
-            acc += string.get(t, 0)
-            if t < t1 and acc:
-                out[tuple(b + t * d for b, d in zip(base, delta))] = acc
-        if acc != 0:
-            raise ArithmeticError("operand is not divisible by (1 - shift)")
-    return out
 
 
 # -- module-level operation surface -------------------------------------------

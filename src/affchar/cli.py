@@ -301,17 +301,51 @@ _CHECKS = {
 }
 
 
+# coweight parameters by the flag that sets them, and the ones each check reads
+_COWEIGHT_FLAGS = {"lam": "--lambda", "mu": "--mu", "coset": "--coset"}
+_REQUIRED = {
+    "fks": ("coset",),
+    "tensor": ("lam", "mu"),
+    "smooth-locus": ("lam",),
+    "fixed-support": ("lam",),
+    "curves": ("lam",),
+    "domination": ("lam", "mu"),
+}
+
+
+def _validate(check_name: str, params: dict):
+    """Reject inputs a check cannot answer; every message names the flag."""
+    for key in _REQUIRED.get(check_name, ()):
+        flag = _COWEIGHT_FLAGS[key]
+        if params.get(key) is None:
+            raise ValueError("%s requires %s" % (check_name, flag))
+        if len(params[key]) != params["rank"]:
+            raise ValueError("%s needs %d comma-separated coefficients, got %d"
+                             % (flag, params["rank"], len(params[key])))
+    if check_name == "fks" and params["level"] != 1:
+        raise ValueError("--level must be 1 for fks: the lattice coset "
+                         "character it compares with has level one")
+    for name in ("cap_orbit", "cap_elements"):
+        if params[name] < 1:
+            raise ValueError("--%s must be a positive integer, got %r"
+                             % (name.replace("_", "-"), params[name]))
+
+
 def run_verification(check_name: str, params: dict) -> VerificationReport:
-    """Run one named check; deterministic report, PASS/FAIL/SKIPPED status."""
+    """Run one named check; deterministic report, PASS/FAIL/SKIPPED status.
+    Raises ValueError for inputs the check cannot answer."""
     if check_name not in _CHECKS:
         raise ValueError("unknown check %r; available: %s"
                          % (check_name, ", ".join(sorted(_CHECKS))))
     params = dict(params)
     params.setdefault("level", 1)
     params.setdefault("depth", 6)
-    params.setdefault("cap_orbit", _env_cap("CAP_ORBIT", DEFAULT_ORBIT_CAP))
-    params.setdefault("cap_elements", _env_cap("CAP_ELEMENTS", DEFAULT_ELEMENT_CAP))
+    if params.get("cap_orbit") is None:
+        params["cap_orbit"] = _env_cap("CAP_ORBIT", DEFAULT_ORBIT_CAP)
+    if params.get("cap_elements") is None:
+        params["cap_elements"] = _env_cap("CAP_ELEMENTS", DEFAULT_ELEMENT_CAP)
     rs = build_root_system(params["type"], params["rank"])
+    _validate(check_name, params)
     t0 = time.monotonic()
     try:
         status, fd, flags = _CHECKS[check_name](rs, params)
@@ -346,7 +380,14 @@ def _env_cap(name: str, default: int) -> int:
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError("%s%s must be a positive integer, got %r"
+                         % (ENV_PREFIX, name, raw))
+    return value
 
 
 def emit_report(report: VerificationReport, fmt: str = "text", path=None) -> str:
@@ -529,7 +570,7 @@ def main(argv=None) -> int:
         params["dump"] = args.dump
     try:
         report = run_verification(args.check, params)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, args.fmt, args.out))

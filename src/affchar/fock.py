@@ -63,7 +63,9 @@ class LatticeCoset:
         if rs.is_simply_laced():
             for beta in rs.positive_coroots:
                 norm = rs.coform(beta, beta)
-                assert norm.denominator == 1 and norm.numerator % 2 == 0
+                if norm.denominator != 1 or norm.numerator % 2:
+                    raise ArithmeticError("coroot %r has odd or fractional norm %s"
+                                          % (beta, norm))
 
     def key(self):
         return self.rs.coset_key(self.shift)
@@ -79,9 +81,8 @@ def coset_points_up_to(rs: RootSystem, shift: Coweight, bound: Fraction,
     l = rs.rank
     gram = [[rs.coform(rs.simple_coroot(i), rs.simple_coroot(j))
              for j in range(1, l + 1)] for i in range(1, l + 1)]
-    for row in gram:
-        for x in row:
-            assert x.denominator == 1
+    if any(x.denominator != 1 for row in gram for x in row):
+        raise ArithmeticError("coroot Gram matrix is not integral")
     gram = [[int(x) for x in row] for row in gram]
     from .rootsys import _invert_matrix
     graminv = _invert_matrix(gram)

@@ -1,17 +1,20 @@
 """Truncated characters of irreducible integrable highest-weight modules.
 
-The alternating numerator sums sign(w) e^(w(hw+rho_aff) - rho_aff) over affine
-Weyl elements w = (translation by beta)(finite u), pruned by the q-depth of
-the produced term (quadratic in beta, so the enumeration terminates).  The
-denominator product is handled through its own alternating expansion (the
-denominator identity applied to the trivial weight): writing the character
-per q-layer as ch_d and the denominator layers as R_d, the identity
-sum_j ch_j * R_(d-j) = numerator_d determines ch_d once R_0 division is
-interpreted through the finite Weyl alternation: the layer d anti-invariant
-remainder decomposes as sum n_nu * J(nu + rho) with n_nu >= 0, and ch_d is
-the corresponding sum of finite irreducible characters.  Everything is exact
-integer arithmetic; a negative n_nu aborts, which is a sharp internal
-consistency check on the whole pipeline.
+The Weyl-Kac formula is read per q-layer in the basis of finite alternants
+J(sigma) = sum_w det(w) e^(w sigma), sigma strictly dominant.  Writing the
+affine Weyl group as W x (coroot lattice) and re-indexing each translation by
+the finite part, the numerator sum over (beta, u) collapses to one term per
+coroot-lattice point beta: sign * J(reduced s - khat*iota(beta)) at
+q = khat*(beta,beta)/2 - <beta, s>, where s = hw + rho, khat = level + h^vee
+and the reduction to the strictly dominant chamber supplies the sign.  No
+Weyl group element is ever enumerated.  The denominator is the same sum for
+the trivial weight (the denominator identity).  Writing the character per
+q-layer as ch_d and the denominator layers as R_d, sum_j ch_j * R_(d-j) =
+numerator_d determines ch_d: the layer d remainder decomposes as
+sum n_nu * J(nu + rho) with n_nu >= 0, and ch_d is the corresponding sum of
+finite irreducible characters.  Everything is exact integer arithmetic; a
+negative n_nu aborts, which is a sharp internal consistency check on the
+whole pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charring import QCharacter, _wkey
-from .rootsys import Coweight, OrbitCapExceeded, RootSystem, Weight, _invert_matrix
+from .rootsys import OrbitCapExceeded, RootSystem, Weight, _invert_matrix
 
 DEFAULT_ELEMENT_CAP = 2 * 10**6
 
@@ -46,7 +49,7 @@ class AffineDominantWeight:
 
 
 def _coroot_lattice_points(rs: RootSystem, norm_half_bound: Fraction, cap: int):
-    """Integer coroot-lattice vectors with (b,b)/2 <= bound."""
+    """Integer coroot-lattice vectors b with (b,b)/2 <= bound, as (b, (b,b))."""
     l = rs.rank
     gram = [[int(rs.coform(rs.simple_coroot(i), rs.simple_coroot(j)))
              for j in range(1, l + 1)] for i in range(1, l + 1)]
@@ -67,7 +70,7 @@ def _coroot_lattice_points(rs: RootSystem, norm_half_bound: Fraction, cap: int):
                 val += combo[i] * sum(gram[i][j] * combo[j]
                                       for j in range(l) if combo[j])
         if val <= two_b:
-            out.append(combo)
+            out.append((combo, val))
     return out
 
 
@@ -82,56 +85,37 @@ def _box(hi):
 
 def _alternating_layers(rs: RootSystem, khat: int, shifted: Weight, n_layers: int,
                         cap: int):
-    """Layers of sum_(beta,u) det(u) e^(u(shifted) - khat*iota(beta) - rho),
-    graded by q = khat*(beta,beta)/2 - <beta, u(shifted)>, for q-layers
-    0..n_layers; returns a list of dicts keyed by scaled weight tuples.
-
-    The inner loop runs on scaled integers: weight keys carry the per-system
-    weight denominator and q-exponents the q denominator.
-    """
-    l = rs.rank
-    rho = rs.rho_weight
+    """J-layers 0..n_layers of sum_(beta,u) det(u) e^(u(shifted) - khat*iota(beta)):
+    layer q maps each strictly dominant sigma (scaled key) to its coefficient
+    of J(sigma).  One term per translation beta: the reduction of
+    shifted - khat*iota(beta), at q = khat*(beta,beta)/2 - <beta, shifted>."""
     cs = rs.form(shifted, shifted)
     s_hi = _sqrt_ceil(cs) + _sqrt_ceil(cs + 2 * khat * n_layers)
     t_hi = Fraction(s_hi * s_hi, khat * khat) + 1
     translations = _coroot_lattice_points(rs, t_hi / 2, cap)
     wden = rs.weight_denominator
-    qden = rs.q_denominator
-    cartan = [tuple(int(x) for x in row) for row in rs.cartan]
-    images = []
-    for mat, sign in rs.weyl_elements(cap=cap):
-        key = _wkey(rs, rs.apply_matrix_weight(mat, shifted))
-        pairvec = tuple(sum(cartan[i][j] * key[j] for j in range(l))
-                        for i in range(l))
-        images.append((key, pairvec, sign))
+    skey = _wkey(rs, shifted)
+    # <alpha_i-check, shifted> and iota(alpha_i-check), both times wden
+    pairvec = tuple(sum(a * k for a, k in zip(row, skey)) for row in rs.cartan)
+    iota_key = _wkey(rs, Weight(tuple(1 / d for d in rs.root_norm_halves)))
     layers = [dict() for _ in range(n_layers + 1)]
-    qmax = n_layers * qden
-    count = 0
-    for combo in translations:
-        beta = Coweight(tuple(Fraction(c) for c in combo))
-        base = Fraction(khat) * rs.coform(beta, beta) / 2 * qden
-        assert base.denominator == 1
-        base_qn = int(base)
-        shift_key = _wkey(rs, khat * rs.iota(beta) + rho)
-        for key, pairvec, sign in images:
-            dot = sum(b * p for b, p in zip(combo, pairvec) if b)
-            num = base_qn * wden - dot * qden
-            qn, r = divmod(num, wden)
-            assert r == 0 and qn >= 0 and qn % qden == 0, \
-                "bad grading in the alternating sum"
-            if qn > qmax:
-                continue
-            count += 1
-            if count > cap:
-                raise OrbitCapExceeded(
-                    "numerator enumeration exceeds cap of %d" % cap)
-            tkey = tuple(a - b for a, b in zip(key, shift_key))
-            layer = layers[qn // qden]
-            v = layer.get(tkey, 0) + sign
-            if v:
-                layer[tkey] = v
-            elif tkey in layer:
-                del layer[tkey]
+    for combo, norm in translations:
+        dot = sum(b * p for b, p in zip(combo, pairvec) if b)
+        q, r = divmod(khat * norm * wden - 2 * dot, 2 * wden)
+        if r or q < 0:
+            raise ArithmeticError("bad grading in the alternating sum")
+        if q > n_layers:
+            continue
+        red, sign = rs.reduce_strict(tuple(
+            s - khat * b * i for s, b, i in zip(skey, combo, iota_key)))
+        if sign == 0:
+            continue
+        layer = layers[q]
+        v = layer.get(red, 0) + sign
+        if v:
+            layer[red] = v
+        else:
+            del layer[red]
     return layers
 
 
@@ -141,92 +125,11 @@ def _sqrt_ceil(x) -> int:
     return math.isqrt(math.ceil(x)) + 1
 
 
-class _FiniteWeylData:
-    """Scaled-integer reflection data for anti-invariant layer processing."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.wden = rs.weight_denominator
-        self.cartan_rows = [tuple(int(x) for x in row) for row in rs.cartan]
-        self.rho_key = _wkey(rs, rs.rho_weight)
-        self._irrep_cache = {}
-
-    def reduce_strict(self, key):
-        """Reduce key to the strictly dominant chamber; returns (key, sign),
-        sign 0 when the key lies on a wall."""
-        wden = self.wden
-        rows = self.cartan_rows
-        l = len(rows)
-        key = list(key)
-        sign = 1
-        moved = True
-        while moved:
-            moved = False
-            for i in range(l):
-                row = rows[i]
-                p = sum(row[j] * key[j] for j in range(l) if key[j])
-                if p == 0:
-                    return None, 0
-                if p < 0:
-                    assert p % wden == 0
-                    key[i] -= p // wden * wden
-                    sign = -sign
-                    moved = True
-        return tuple(key), sign
-
-    def jread(self, raw: dict) -> dict:
-        """Decompose an anti-invariant layer (times e^-rho) in the basis
-        J(sigma) e^-rho, J(sigma) = sum_w det(w) e^(w sigma), sigma strictly
-        dominant.  Each J contributes once per chamber, so the accumulated
-        counts carry a factor |W|; anti-invariance makes the division exact."""
-        out = {}
-        for key, c in raw.items():
-            sigma = tuple(a + r for a, r in zip(key, self.rho_key))
-            red, sign = self.reduce_strict(sigma)
-            if sign == 0:
-                continue
-            v = out.get(red, 0) + sign * c
-            if v:
-                out[red] = v
-            elif red in out:
-                del out[red]
-        order = len(self.rs.weyl_elements())
-        for red in list(out):
-            q, r = divmod(out[red], order)
-            if r:
-                raise ArithmeticError("layer is not Weyl anti-invariant")
-            if q:
-                out[red] = q
-            else:
-                del out[red]
-        return out
-
-    def irrep_weights(self, nu_key) -> dict:
-        """Weight multiplicities of the finite irreducible with highest weight
-        nu (scaled key), cached."""
-        if nu_key not in self._irrep_cache:
-            rs = self.rs
-            wden = self.wden
-            nu = Weight(tuple(Fraction(c, wden) for c in nu_key))
-            chw = rs.finite_weyl_character(nu)
-            self._irrep_cache[nu_key] = {_wkey(rs, w): m for w, m in chw.items()}
-        return self._irrep_cache[nu_key]
-
-
-_finite_data_cache = {}
-
-
-def _finite_data(rs: RootSystem) -> _FiniteWeylData:
-    key = id(rs)
-    if key not in _finite_data_cache:
-        _finite_data_cache[key] = _FiniteWeylData(rs)
-    return _finite_data_cache[key]
-
-
 def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
                        cap_elements: int = DEFAULT_ELEMENT_CAP) -> QCharacter:
     """Character of the irreducible integrable module with highest weight
-    level*Lambda + finite, complete through integer q-depth ``depth``."""
+    level*Lambda + finite, complete through integer q-depth ``depth``;
+    ``cap_elements`` bounds the coroot-lattice points scanned."""
     hw.validate(rs)
     depth = Fraction(depth)
     if depth < 0:
@@ -235,23 +138,21 @@ def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
     k = hw.level
     hv = rs.dual_coxeter
     rho = rs.rho_weight
-    fd = _finite_data(rs)
-    num_layers = _alternating_layers(rs, k + hv, hw.finite + rho, n, cap_elements)
-    den_layers = _alternating_layers(rs, hv, rho, n, cap_elements)
-    numJ = [fd.jread(layer) for layer in num_layers]
-    denJ = [fd.jread(layer) for layer in den_layers]
-    assert denJ[0] == {fd.rho_key: 1}, "denominator identity failed at q^0"
-    rho_key = fd.rho_key
+    rho_key = _wkey(rs, rho)
+    numJ = _alternating_layers(rs, k + hv, hw.finite + rho, n, cap_elements)
+    denJ = _alternating_layers(rs, hv, rho, n, cap_elements)
+    if denJ[0] != {rho_key: 1}:
+        raise ArithmeticError("denominator identity failed at q^0")
     layers = []
     for d in range(n + 1):
-        rem = dict(numJ[d])
+        rem = numJ[d]
         for j in range(d):
             denj = denJ[d - j]
             if not denj:
                 continue
             for wkey, m in layers[j].items():
                 for sigma, r in denj.items():
-                    red, sign = fd.reduce_strict(
+                    red, sign = rs.reduce_strict(
                         tuple(a + b for a, b in zip(sigma, wkey)))
                     if sign == 0:
                         continue
@@ -267,7 +168,7 @@ def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
                     "negative irreducible multiplicity in layer %d "
                     "(internal inconsistency)" % d)
             nu_key = tuple(a - r for a, r in zip(sigma, rho_key))
-            for wkey, m in fd.irrep_weights(nu_key).items():
+            for wkey, m in rs.irreducible_keys(nu_key).items():
                 layer[wkey] = layer.get(wkey, 0) + c * m
         layers.append(layer)
     qden = rs.q_denominator

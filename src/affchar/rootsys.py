@@ -175,6 +175,7 @@ class RootSystem:
         self._build_scalings()
         self.longest_word = self._longest_element_word()
         self._weyl_cache = None
+        self._irrep_cache = {}
 
     # -- construction ---------------------------------------------------
 
@@ -195,7 +196,8 @@ class RootSystem:
         d = tuple(x / top for x in d)
         for i in range(l):
             for j in range(l):
-                assert d[i] * self.cartan[i][j] == d[j] * self.cartan[j][i]
+                if d[i] * self.cartan[i][j] != d[j] * self.cartan[j][i]:
+                    raise ArithmeticError("Cartan matrix is not symmetrizable")
         return d
 
     def _generate_roots(self):
@@ -216,16 +218,19 @@ class RootSystem:
                     seen[r2] = c2
                     queue.append((r2, c2))
         pos = sorted(r for r in seen if all(c >= 0 for c in r))
-        assert 2 * len(pos) == len(seen)
+        if 2 * len(pos) != len(seen):
+            raise RuntimeError("root closure is not split by positivity")
         self._coroot_of = {Weight(r): Coweight(seen[r]) for r in pos}
         self.positive_roots = tuple(sorted(self._coroot_of, key=lambda w: w.coords))
         self.positive_coroots = tuple(self._coroot_of[r] for r in self.positive_roots)
         by_height = max(self.positive_roots, key=lambda w: (sum(w.coords), w.coords))
-        assert sum(1 for w in self.positive_roots
-                   if sum(w.coords) == sum(by_height.coords)) == 1
+        if sum(1 for w in self.positive_roots
+               if sum(w.coords) == sum(by_height.coords)) != 1:
+            raise RuntimeError("highest root is not unique")
         self.highest_root = by_height
         self.highest_root_coroot = self._coroot_of[by_height]
-        assert self.root_norm(self.highest_root) == 2
+        if self.root_norm(self.highest_root) != 2:
+            raise ArithmeticError("highest root does not have squared length 2")
 
     def _reflect_root_coords(self, i, r):
         # s_i on the weight side: subtract <alpha_i, x> alpha-check_i
@@ -423,17 +428,6 @@ class RootSystem:
             else:
                 return cur
 
-    def dominant_part_weight(self, wt: Weight) -> Weight:
-        cur = wt
-        while True:
-            fc = self.weight_fundamental_coords(cur)
-            for i in range(self.rank):
-                if fc[i] < 0:
-                    cur = self.reflect_weight(i + 1, cur)
-                    break
-            else:
-                return cur
-
     def weyl_orbit(self, co: Coweight, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
         seen = {co}
         queue = [co]
@@ -449,21 +443,6 @@ class RootSystem:
                     queue.append(nxt)
         return frozenset(seen)
 
-    def weyl_orbit_weight(self, wt: Weight, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
-        seen = {wt}
-        queue = [wt]
-        while queue:
-            cur = queue.pop()
-            for i in range(1, self.rank + 1):
-                nxt = self.reflect_weight(i, cur)
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(
-                            "Weyl orbit exceeds cap of %d elements" % cap)
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return frozenset(seen)
-
     def apply_word_coweight(self, word, co: Coweight) -> Coweight:
         for i in reversed(word):
             co = self.reflect_coweight(i, co)
@@ -471,8 +450,11 @@ class RootSystem:
 
     def weyl_elements(self, cap: int = 10**6):
         """All Weyl elements as (integer matrix on simple-root coordinates, sign)
-        pairs, generated by reflection closure."""
+        pairs, generated by reflection closure; raises OrbitCapExceeded when
+        the group has more than ``cap`` elements."""
         if self._weyl_cache is not None:
+            if len(self._weyl_cache) > cap:
+                raise OrbitCapExceeded("Weyl group exceeds cap of %d" % cap)
             return self._weyl_cache
         l = self.rank
         ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
@@ -522,64 +504,72 @@ class RootSystem:
             if theta_marks[i - 1] == 1:
                 om = self.fundamental_coweight(i)
                 key = self.coset_key(om)
-                assert key not in reps, "two minuscule coweights in one coset"
+                if key in reps:
+                    raise RuntimeError("two minuscule coweights in one coset")
                 reps[key] = om
-        assert len(reps) == self.pi1_order, "minuscule coweights do not exhaust pi1"
+        if len(reps) != self.pi1_order:
+            raise RuntimeError("minuscule coweights do not exhaust pi1")
         return reps
 
     # -- finite irreducible characters --------------------------------------
 
-    def dominant_weights_below(self, hi: Weight) -> list:
-        """Dominant weights mu <= hi (weight-side dominance), hi included."""
-        out = {hi}
-        frontier = [hi]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for r in self.positive_roots:
-                    w2 = w - r
-                    if w2 not in out and self.is_dominant_weight(w2):
-                        out.add(w2)
-                        nxt.append(w2)
-            frontier = nxt
-        return sorted(out, key=lambda w: (-sum(w.coords), w.coords))
+    def reduce_strict(self, key):
+        """Reflect a scaled weight key (coordinates times weight_denominator)
+        into the strictly dominant chamber; returns (key, det of the Weyl
+        element used), or (None, 0) when the key lies on a wall."""
+        wden = self.weight_denominator
+        rows = self.cartan
+        l = self.rank
+        key = list(key)
+        sign = 1
+        moved = True
+        while moved:
+            moved = False
+            for i in range(l):
+                row = rows[i]
+                p = sum(row[j] * key[j] for j in range(l) if key[j])
+                if p == 0:
+                    return None, 0
+                if p < 0:
+                    m, r = divmod(p, wden)
+                    if r:
+                        raise ArithmeticError(
+                            "weight key pairs non-integrally with a simple coroot")
+                    key[i] -= m * wden
+                    sign = -sign
+                    moved = True
+        return tuple(key), sign
+
+    def irreducible_keys(self, nu_key) -> dict:
+        """Weight multiplicities, by scaled key, of the irreducible with
+        dominant highest weight nu_key, cached on this instance.
+
+        Demazure character formula: ch V(nu) = D_{w0} e^nu, the isobaric
+        Demazure operators applied along a reduced word of the longest element.
+        """
+        mults = self._irrep_cache.get(nu_key)
+        if mults is None:
+            from .charring import QCharacter
+            chi = QCharacter._raw(self, 0, {(0,) + tuple(nu_key): 1}, None, False)
+            for i in reversed(self.longest_word):
+                chi = chi.demazure(i)
+            mults = {key[1:]: m for key, m in chi._terms.items()}
+            self._irrep_cache[nu_key] = mults
+        return mults
 
     def finite_weyl_character(self, nu: Weight) -> dict:
         """Weight multiplicities of the irreducible with highest weight nu.
 
-        Freudenthal recursion over dominant weights, spread over Weyl orbits;
-        exact integers throughout.
+        A Weight-keyed view of ``irreducible_keys``, the Demazure character
+        formula on scaled integer keys.
         """
         fc = self.weight_fundamental_coords(nu)
         if any(c < 0 or c.denominator != 1 for c in fc):
             raise ValueError("highest weight must be dominant integral, got %r" % (fc,))
-        rho = self.rho_weight
-        top = self.form(nu + rho, nu + rho)
-        doms = self.dominant_weights_below(nu)
-        mult = {nu: 1}
-        for mu in doms:
-            if mu == nu:
-                continue
-            acc = Fraction(0)
-            for alpha in self.positive_roots:
-                j = 1
-                while True:
-                    w2 = mu + j * alpha
-                    m2 = mult.get(self.dominant_part_weight(w2), 0)
-                    if m2 == 0 and self.form(w2, w2) > top:
-                        break
-                    if m2:
-                        acc += m2 * self.form(w2, alpha)
-                    j += 1
-            denom = top - self.form(mu + rho, mu + rho)
-            val = 2 * acc / denom
-            assert val.denominator == 1 and val > 0
-            mult[mu] = int(val)
-        full = {}
-        for mu, m in mult.items():
-            for w in self.weyl_orbit_weight(mu):
-                full[w] = m
-        return full
+        wden = self.weight_denominator
+        mults = self.irreducible_keys(tuple(int(c * wden) for c in nu.coords))
+        return {Weight(tuple(Fraction(c, wden) for c in key)): m
+                for key, m in mults.items()}
 
     def weyl_dimension(self, nu: Weight) -> int:
         """Dimension of the irreducible with highest weight nu (product formula)."""
@@ -587,7 +577,8 @@ class RootSystem:
         num = Fraction(1)
         for alpha in self.positive_roots:
             num *= self.form(nu + rho, alpha) / self.form(rho, alpha)
-        assert num.denominator == 1
+        if num.denominator != 1:
+            raise ArithmeticError("Weyl dimension formula gave a non-integer")
         return int(num)
 
 

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from affchar.charring import QCharacter
-from affchar.rootsys import Weight, build_root_system
+from affchar.charring import QCharacter, _wkey
+from affchar.kacweyl import _coroot_lattice_points
+from affchar.rootsys import Coweight, Weight, build_root_system
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]
 
@@ -41,6 +43,59 @@ def _naive_divide(rs, f, alpha):
         elif down in work:
             del work[down]
     return {k: v for k, v in quotient.items() if v}
+
+
+def alternating_layers_oracle(rs, khat, shifted, n_layers):
+    """J-layers of sum_(beta,u) det(u) e^(u(shifted) - khat*iota(beta)) summed
+    over the whole affine Weyl group W x (coroot lattice), q-layers
+    0..n_layers.  Every term is reduced to the strictly dominant chamber and
+    the counts, which carry a factor |W|, are divided by |W|.  Deliberately
+    separate from the production translation-only sum; the two share only the
+    coroot-lattice enumerator."""
+    cs = rs.form(shifted, shifted)
+    # q <= n_layers forces |khat*beta - u(shifted)|^2 <= cs + 2*khat*n_layers
+    s_hi = math.isqrt(math.ceil(cs)) + math.isqrt(math.ceil(cs + 2 * khat * n_layers)) + 2
+    t_hi = Fraction(s_hi * s_hi, khat * khat) + 1
+    images = [(rs.apply_matrix_weight(mat, shifted), sign)
+              for mat, sign in rs.weyl_elements()]
+    raw = [dict() for _ in range(n_layers + 1)]
+    for combo, _ in _coroot_lattice_points(rs, t_hi / 2, 10**7):
+        beta = Coweight(tuple(Fraction(c) for c in combo))
+        shift = khat * rs.iota(beta)
+        base = Fraction(khat) * rs.coform(beta, beta) / 2
+        for image, sign in images:
+            q = base - rs.pair(beta, image)
+            assert q.denominator == 1 and q >= 0, "bad grading"
+            if q <= n_layers:
+                key = _wkey(rs, image - shift)
+                raw[int(q)][key] = raw[int(q)].get(key, 0) + sign
+    order = len(rs.weyl_elements())
+    out = []
+    for layer in raw:
+        acc = {}
+        for key, c in layer.items():
+            red, sign = _reduce_strict(rs, key)
+            if sign:
+                acc[red] = acc.get(red, 0) + sign * c
+        for red, c in acc.items():
+            assert c % order == 0, "layer is not Weyl anti-invariant"
+        out.append({red: c // order for red, c in acc.items() if c})
+    return out
+
+
+def _reduce_strict(rs, key):
+    wden = rs.weight_denominator
+    key = list(key)
+    sign = 1
+    while True:
+        pairs = [sum(row[j] * key[j] for j in range(rs.rank)) for row in rs.cartan]
+        if 0 in pairs:
+            return None, 0
+        i = next((i for i, p in enumerate(pairs) if p < 0), None)
+        if i is None:
+            return tuple(key), sign
+        key[i] -= pairs[i]
+        sign = -sign
 
 
 def brute_multipartition_count(colors, total):

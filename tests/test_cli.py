@@ -145,3 +145,29 @@ def test_parser_round_trip():
     assert args.check == "fks"
     assert args.rank == 4
     assert [str(c) for c in args.coset] == ["1", "0", "0", "1"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["fks", "--coset", "0", "--level", "2"], "--level"),
+    (["fks", "--coset", "0", "--level", "0"], "--level"),
+    (["fks"], "--coset"),
+    (["fks", "--coset", "0,0"], "--coset"),
+    (["tensor", "--lambda", "2"], "--mu"),
+    (["domination", "--mu", "0"], "--lambda"),
+    (["smooth-locus"], "--lambda"),
+    (["coroots", "--cap-orbit", "0"], "--cap-orbit"),
+    (["fks", "--coset", "0", "--cap-elements", "-3"], "--cap-elements"),
+])
+def test_bad_input_exits_2_naming_the_flag(argv, flag, capsys):
+    assert main(argv + ["--type", "A", "--rank", "1", "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("name", ["AFFCHAR_CAP_ORBIT", "AFFCHAR_CAP_ELEMENTS"])
+@pytest.mark.parametrize("value", ["0", "-4", "many"])
+def test_bad_env_cap_exits_2(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert main(["fks", "--type", "A", "--rank", "1", "--coset", "0",
+                 "--depth", "2"]) == 2
+    assert name in capsys.readouterr().err

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.kacweyl import AffineDominantWeight, weyl_kac_character
-from affchar.rootsys import OrbitCapExceeded, build_root_system, weight
-from conftest import SMALL_TYPES
+from affchar.kacweyl import (DEFAULT_ELEMENT_CAP, AffineDominantWeight,
+                             _alternating_layers, weyl_kac_character)
+from affchar.rootsys import OrbitCapExceeded, RootSystem, build_root_system, weight
+from conftest import SMALL_TYPES, alternating_layers_oracle
 
 
 def test_top_layer_is_highest_weight_line_for_basic():
@@ -78,7 +79,6 @@ def test_coset_supports_disjoint_mod_root_lattice():
                     assert any(c.denominator != 1 for c in diff.coords)
 
 
-@pytest.mark.slow
 def test_e6_lattice_identity_small_depth():
     # the E-type case of the lattice identity, at the depth the group size allows
     from affchar.charring import first_discrepancy
@@ -98,3 +98,35 @@ def test_level_two_exploratory_surface():
     assert all(c > 0 for _, _, c in chi.terms())
     assert chi.is_weyl_invariant()
     assert chi.level == 2
+
+
+@pytest.mark.parametrize("t,l,depth", [("A", 2, 4), ("B", 3, 3), ("C", 2, 4),
+                                       ("G", 2, 4), ("D", 4, 3)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_translation_layers_match_weyl_group_oracle(t, l, depth, level):
+    # the numerator re-indexed over translations alone has the J-layers of the
+    # full W x (coroot lattice) sum, for the denominator and each numerator
+    rs = build_root_system(t, l)
+    hv = rs.dual_coxeter
+    rho = rs.rho_weight
+    cases = [(hv, rho)]
+    for coeffs in [[0] * l] + [[int(i == j) for j in range(l)] for i in range(l)]:
+        nu = rs.weight_from_fundamental(coeffs)
+        if rs.pair(rs.highest_root_coroot, nu) <= level:
+            cases.append((level + hv, nu + rho))
+    for khat, shifted in cases:
+        got = _alternating_layers(rs, khat, shifted, depth, DEFAULT_ELEMENT_CAP)
+        assert got == alternating_layers_oracle(rs, khat, shifted, depth)
+
+
+def test_finite_data_is_per_instance():
+    # a root system built directly, freed and replaced, must not hand its
+    # cached irreducibles to a later instance (ids of freed objects recur)
+    hw = AffineDominantWeight(1, weight([0, 0]))
+    want = weyl_kac_character(build_root_system("G", 2), hw, 2).to_text()
+    for _ in range(5):
+        weyl_kac_character(RootSystem("A", 2), hw, 2)
+        assert weyl_kac_character(RootSystem("G", 2), hw, 2).to_text() == want
+    a, b = RootSystem("A", 2), RootSystem("A", 2)
+    a.finite_weyl_character(a.rho_weight)
+    assert a._irrep_cache and not b._irrep_cache

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.rootsys import (OrbitCapExceeded, Weight, build_root_system,
-                             coweight, weight)
+from affchar.rootsys import (OrbitCapExceeded, RootSystem, Weight,
+                             build_root_system, coweight, weight)
 from conftest import SMALL_TYPES, weyl_character_oracle
 
 ALL_TYPES = SMALL_TYPES + [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("D", 5),
@@ -175,6 +175,16 @@ def test_weyl_orbit_cap():
         rs.weyl_orbit(rs.rho_coweight, cap=10)
 
 
+def test_weyl_elements_cap_holds_on_warm_cache():
+    rs = RootSystem("A", 2)
+    with pytest.raises(OrbitCapExceeded):
+        rs.weyl_elements(cap=2)
+    assert len(rs.weyl_elements()) == 6
+    with pytest.raises(OrbitCapExceeded):
+        rs.weyl_elements(cap=2)
+    assert len(rs.weyl_elements(cap=6)) == 6
+
+
 def test_dominant_part_is_orbit_invariant(rng):
     for t, l in [("A", 2), ("C", 2), ("D", 4)]:
         rs = build_root_system(t, l)
@@ -255,6 +265,7 @@ def test_finite_character_rejects_bad_highest_weight():
     ("A", 2, (1, 1)), ("A", 2, (2, 0)), ("A", 3, (0, 1, 0)),
     ("C", 2, (1, 0)), ("C", 2, (0, 2)), ("G", 2, (1, 0)), ("G", 2, (0, 1)),
     ("D", 4, (1, 0, 0, 0)), ("D", 4, (0, 1, 0, 0)), ("A", 1, (3,)),
+    ("B", 3, (1, 0, 0)), ("B", 3, (0, 1, 0)), ("B", 3, (0, 0, 1)),
 ])
 def test_freudenthal_matches_weyl_formula_oracle(t, l, coeffs):
     rs = build_root_system(t, l)
@@ -273,3 +284,27 @@ def test_finite_character_weyl_invariance(t, l, coeffs):
     ch = rs.finite_weyl_character(nu)
     for i in range(1, l + 1):
         assert {rs.reflect_weight(i, w): m for w, m in ch.items()} == ch
+
+
+@pytest.mark.parametrize("t,l", [("F", 4), ("E", 6)])
+def test_fundamental_characters_of_large_types(t, l):
+    # weyl_character_oracle cannot reach F4 or E6: its long division is
+    # quadratic in a numerator of |W| = 1152 or 51840 terms.  Check the
+    # fundamental irreducibles against the product formula, Weyl invariance
+    # and the zero-weight multiplicities known for small modules.
+    rs = build_root_system(t, l)
+    for i in range(1, l + 1):
+        nu = rs.fundamental_weight(i)
+        ch = rs.finite_weyl_character(nu)
+        assert sum(ch.values()) == rs.weyl_dimension(nu)
+        assert ch[nu] == 1 and min(ch.values()) > 0
+        for j in range(1, l + 1):
+            assert {rs.reflect_weight(j, w): m for w, m in ch.items()} == ch
+    zero = Weight((Fraction(0),) * l)
+    assert rs.finite_weyl_character(rs.highest_root)[zero] == l
+    if t == "F":
+        assert rs.finite_weyl_character(rs.fundamental_weight(4))[zero] == 2
+    else:
+        for i in (1, 6):
+            ch = rs.finite_weyl_character(rs.fundamental_weight(i))
+            assert len(ch) == 27 and set(ch.values()) == {1}
