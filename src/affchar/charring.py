@@ -264,12 +264,21 @@ class QCharacter:
                 "q=1 specialization of a truncated character is only a lower "
                 "bound; pass allow_truncated=True to accept that")
         den = self.rs.weight_denominator
+        return {Weight(tuple(Fraction(c, den) for c in w)): v
+                for w, v in self._sums_over_q().items()}
+
+    def at_q1(self) -> "QCharacter":
+        """Every term moved to q^0: the q = 1 specialization on scaled keys."""
+        return QCharacter._raw(self.rs, self.level,
+                               {(0,) + w: v for w, v in self._sums_over_q().items()},
+                               self.depth, self.truncated)
+
+    def _sums_over_q(self) -> dict:
         out = {}
         for k, v in self._terms.items():
             w = k[1:]
             out[w] = out.get(w, 0) + v
-        return {Weight(tuple(Fraction(c, den) for c in w)): v
-                for w, v in out.items() if v}
+        return {w: v for w, v in out.items() if v}
 
     def is_weyl_invariant(self) -> bool:
         rs = self.rs
@@ -341,20 +350,6 @@ def is_weyl_invariant(rs: RootSystem, chi: QCharacter) -> bool:
     if chi.rs is not rs:
         raise ValueError("character is attached to a different root system")
     return chi.is_weyl_invariant()
-
-
-def group_ring_mul(rs: RootSystem, a: dict, b: dict) -> dict:
-    """Product in the finite weight group ring (dicts Weight -> int)."""
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            nv = out.get(w, 0) + c1 * c2
-            if nv:
-                out[w] = nv
-            elif w in out:
-                del out[w]
-    return out
 
 
 def effective_depth(chi: QCharacter):

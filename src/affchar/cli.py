@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -399,11 +400,22 @@ def emit_report(report: VerificationReport, fmt: str = "text", path=None) -> str
     else:
         raise ValueError("format must be 'text' or 'json'")
     if path is not None:
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        _write_atomic(path, payload)
+    return payload
+
+
+def _write_atomic(path, payload: str):
+    """Write ``payload`` to ``path`` through a fresh temporary file in the
+    same directory, so concurrent writers never share a temporary name."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    return payload
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- the built-in identity battery ---------------------------------------------
@@ -454,6 +466,10 @@ def identity_check_suite(depth: int = 8, heavy: bool = False):
         ("domination", {"type": "A", "rank": 2, "lam": [2, 2], "mu": [1, 1]}, "PASS"),
     ]
     if heavy:
+        suite.append(("fks", {"type": "E", "rank": 7, "coset": [0] * 6 + [1],
+                              "depth": 3}, "PASS"))
+        suite.append(("fks", {"type": "E", "rank": 8, "coset": [0] * 8,
+                              "depth": 2}, "PASS"))
         suite.append(("minuscule", {"type": "E", "rank": 6}, "PASS"))
         suite.append(("smooth-locus", {"type": "E", "rank": 6,
                                        "lam": [0, 0, 1, 0, 0, 0]}, "PASS"))
@@ -496,11 +512,7 @@ def run_all_checks(fmt: str = "text", out=None, depth: int = 8,
                      + "  expect=%s [%s]\n" % (expect, marker))
         results.append((rep, expect, ok))
     if out is not None:
-        payload = "".join(r.to_json() for r, _, _ in results)
-        tmp = str(out) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, out)
+        _write_atomic(out, "".join(r.to_json() for r, _, _ in results))
     stream.write("identity-battery: %s (%d checks)\n"
                  % ("PASS" if all_ok else "FAIL", len(results)))
     return 0 if all_ok else 1

@@ -9,12 +9,11 @@ these towers over all points of the coset, re-normalized to start at q^0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .charring import QCharacter
-from .rootsys import Coweight, OrbitCapExceeded, RootSystem
+from .rootsys import Coweight, RootSystem
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -73,71 +72,18 @@ class LatticeCoset:
 
 def coset_points_up_to(rs: RootSystem, shift: Coweight, bound: Fraction,
                        cap: int = DEFAULT_POINT_CAP) -> list:
-    """All lattice points shift + (coroot lattice) with (x,x)/2 <= bound.
-
-    Box search over coroot coordinates with a Cauchy-Schwarz bound per
-    coordinate; the quadratic form is evaluated in scaled integer arithmetic.
-    """
-    l = rs.rank
-    gram = [[rs.coform(rs.simple_coroot(i), rs.simple_coroot(j))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    if any(x.denominator != 1 for row in gram for x in row):
-        raise ArithmeticError("coroot Gram matrix is not integral")
-    gram = [[int(x) for x in row] for row in gram]
-    from .rootsys import _invert_matrix
-    graminv = _invert_matrix(gram)
-    two_b = 2 * Fraction(bound)
-    if two_b < 0:
-        return []
-    # common denominator for the shift so the form evaluates in integers
-    s = 1
-    for c in shift.coords:
-        s = s * c.denominator // math.gcd(s, c.denominator)
-    shift_int = [int(c * s) for c in shift.coords]
-    limit_sq = [two_b * graminv[i][i] for i in range(l)]
-    ranges = []
-    for i in range(l):
-        num = limit_sq[i]
-        hi = math.isqrt(math.ceil(num)) + 1
-        lo_i = math.ceil(-hi - Fraction(shift_int[i], s))
-        hi_i = math.floor(hi - Fraction(shift_int[i], s))
-        ranges.append(range(lo_i, hi_i + 1))
-    out = []
-    bound_scaled = two_b * s * s
-    count = 0
-    for combo in _iter_box(ranges):
-        count += 1
-        if count > cap:
-            raise OrbitCapExceeded("lattice point enumeration exceeds cap of %d" % cap)
-        x = [shift_int[i] + s * combo[i] for i in range(l)]
-        val = 0
-        for i in range(l):
-            xi = x[i]
-            if not xi:
-                continue
-            row = gram[i]
-            val += xi * sum(row[j] * x[j] for j in range(l) if x[j])
-        if val <= bound_scaled:
-            out.append(Coweight(tuple(Fraction(xi, s) for xi in x)))
-    out.sort(key=lambda c: c.coords)
-    return out
-
-
-def _iter_box(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _iter_box(ranges[1:]):
-            yield (head,) + tail
+    """All lattice points shift + (coroot lattice) with (x,x)/2 <= bound, in
+    coordinate order; a Coweight view of ``RootSystem.lattice_points``."""
+    return sorted((Coweight(tuple(Fraction(c) for c in coords))
+                   for coords, _ in rs.lattice_points(shift, bound, cap)),
+                  key=lambda c: c.coords)
 
 
 def minimal_coset_norm_half(rs: RootSystem, shift: Coweight,
                             cap: int = DEFAULT_POINT_CAP) -> Fraction:
     """min (x,x)/2 over the coset; the shift itself bounds the search."""
     b0 = rs.coform(shift, shift) / 2
-    pts = coset_points_up_to(rs, shift, b0, cap=cap)
-    return min(rs.coform(x, x) / 2 for x in pts)
+    return min(norm for _, norm in rs.lattice_points(shift, b0, cap)) / 2
 
 
 def lattice_character(coset: LatticeCoset, depth,

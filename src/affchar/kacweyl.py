@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charring import QCharacter, _wkey
-from .rootsys import OrbitCapExceeded, RootSystem, Weight, _invert_matrix
+from .rootsys import RootSystem, Weight, coweight
 
 DEFAULT_ELEMENT_CAP = 2 * 10**6
 
@@ -48,41 +48,6 @@ class AffineDominantWeight:
                 % (rs.pair(rs.highest_root_coroot, self.finite), self.level))
 
 
-def _coroot_lattice_points(rs: RootSystem, norm_half_bound: Fraction, cap: int):
-    """Integer coroot-lattice vectors b with (b,b)/2 <= bound, as (b, (b,b))."""
-    l = rs.rank
-    gram = [[int(rs.coform(rs.simple_coroot(i), rs.simple_coroot(j)))
-             for j in range(1, l + 1)] for i in range(1, l + 1)]
-    graminv = _invert_matrix(gram)
-    two_b = 2 * Fraction(norm_half_bound)
-    if two_b < 0:
-        return []
-    hi = [math.isqrt(math.ceil(two_b * graminv[i][i])) + 1 for i in range(l)]
-    out = []
-    count = 0
-    for combo in _box(hi):
-        count += 1
-        if count > cap:
-            raise OrbitCapExceeded("translation enumeration exceeds cap of %d" % cap)
-        val = 0
-        for i in range(l):
-            if combo[i]:
-                val += combo[i] * sum(gram[i][j] * combo[j]
-                                      for j in range(l) if combo[j])
-        if val <= two_b:
-            out.append((combo, val))
-    return out
-
-
-def _box(hi):
-    if not hi:
-        yield ()
-        return
-    for head in range(-hi[0], hi[0] + 1):
-        for tail in _box(hi[1:]):
-            yield (head,) + tail
-
-
 def _alternating_layers(rs: RootSystem, khat: int, shifted: Weight, n_layers: int,
                         cap: int):
     """J-layers 0..n_layers of sum_(beta,u) det(u) e^(u(shifted) - khat*iota(beta)):
@@ -92,16 +57,17 @@ def _alternating_layers(rs: RootSystem, khat: int, shifted: Weight, n_layers: in
     cs = rs.form(shifted, shifted)
     s_hi = _sqrt_ceil(cs) + _sqrt_ceil(cs + 2 * khat * n_layers)
     t_hi = Fraction(s_hi * s_hi, khat * khat) + 1
-    translations = _coroot_lattice_points(rs, t_hi / 2, cap)
     wden = rs.weight_denominator
     skey = _wkey(rs, shifted)
     # <alpha_i-check, shifted> and iota(alpha_i-check), both times wden
     pairvec = tuple(sum(a * k for a, k in zip(row, skey)) for row in rs.cartan)
     iota_key = _wkey(rs, Weight(tuple(1 / d for d in rs.root_norm_halves)))
     layers = [dict() for _ in range(n_layers + 1)]
-    for combo, norm in translations:
+    for combo, norm in rs.lattice_points(coweight([0] * rs.rank), t_hi / 2, cap):
+        if norm.denominator != 1:
+            raise ArithmeticError("coroot-lattice point %r has norm %s" % (combo, norm))
         dot = sum(b * p for b, p in zip(combo, pairvec) if b)
-        q, r = divmod(khat * norm * wden - 2 * dot, 2 * wden)
+        q, r = divmod(khat * norm.numerator * wden - 2 * dot, 2 * wden)
         if r or q < 0:
             raise ArithmeticError("bad grading in the alternating sum")
         if q > n_layers:
@@ -129,7 +95,8 @@ def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
                        cap_elements: int = DEFAULT_ELEMENT_CAP) -> QCharacter:
     """Character of the irreducible integrable module with highest weight
     level*Lambda + finite, complete through integer q-depth ``depth``;
-    ``cap_elements`` bounds the coroot-lattice points scanned."""
+    ``cap_elements`` bounds the candidate coordinate values the coroot-lattice
+    enumerator ``RootSystem.lattice_points`` scans."""
     hw.validate(rs)
     depth = Fraction(depth)
     if depth < 0:

@@ -10,9 +10,10 @@ labelled following Bourbaki (Plates I-IX); for the E series the chain is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 _VALID_RANKS = {
     "A": lambda l: l >= 1,
@@ -368,17 +369,19 @@ class RootSystem:
 
     # -- coordinates ------------------------------------------------------
 
-    def weight_from_fundamental(self, coeffs) -> Weight:
+    def _combine(self, coeffs, basis) -> tuple:
         coeffs = _frac_tuple(coeffs)
-        acc = tuple(sum(c * w.coords[j] for c, w in zip(coeffs, self.fundamental_weights))
-                    for j in range(self.rank))
-        return Weight(acc)
+        if len(coeffs) != self.rank:
+            raise ValueError("expected %d fundamental coefficients for %s%d, got %d"
+                             % (self.rank, self.type_label, self.rank, len(coeffs)))
+        return tuple(sum(c * b.coords[j] for c, b in zip(coeffs, basis))
+                     for j in range(self.rank))
+
+    def weight_from_fundamental(self, coeffs) -> Weight:
+        return Weight(self._combine(coeffs, self.fundamental_weights))
 
     def coweight_from_fundamental(self, coeffs) -> Coweight:
-        coeffs = _frac_tuple(coeffs)
-        acc = tuple(sum(c * w.coords[j] for c, w in zip(coeffs, self.fundamental_coweights))
-                    for j in range(self.rank))
-        return Coweight(acc)
+        return Coweight(self._combine(coeffs, self.fundamental_coweights))
 
     def weight_fundamental_coords(self, wt: Weight) -> tuple:
         """Values of the simple coroots on wt."""
@@ -510,6 +513,74 @@ class RootSystem:
         if len(reps) != self.pi1_order:
             raise RuntimeError("minuscule coweights do not exhaust pi1")
         return reps
+
+    # -- lattice points ------------------------------------------------------
+
+    @cached_property
+    def _coroot_ldl(self):
+        """Exact LDL^T of the coroot Gram matrix G = L D L^T, in integers:
+        (m, e, diag, low) with e*m^2*(x,x) = sum_k diag[k] * t_k^2 and
+        t_k = m*x_k + sum of c*x_i over the pairs (i, c) in low[k], i > k."""
+        l = self.rank
+        gram = [[self.coform(self.simple_coroot(i), self.simple_coroot(j))
+                 for j in range(1, l + 1)] for i in range(1, l + 1)]
+        low = [[Fraction(0)] * l for _ in range(l)]
+        diag = []
+        for j in range(l):
+            diag.append(gram[j][j] - sum(low[j][k] ** 2 * diag[k] for k in range(j)))
+            for i in range(j + 1, l):
+                low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k] * diag[k]
+                                              for k in range(j))) / diag[j]
+        m = math.lcm(*(x.denominator for row in low for x in row))
+        e = math.lcm(*(x.denominator for x in diag))
+        return (m, e, tuple(int(e * x) for x in diag),
+                tuple(tuple((i, int(m * low[i][k])) for i in range(k + 1, l) if low[i][k])
+                      for k in range(l)))
+
+    def lattice_points(self, shift: Coweight, bound, cap: int = DEFAULT_ORBIT_CAP):
+        """Points x of shift + (coroot lattice) with (x,x) <= 2*bound, as
+        (simple-coroot coordinates, (x,x)) pairs.
+
+        Fincke-Pohst enumeration on the integer LDL^T of ``_coroot_ldl``
+        (cached on this instance): the coordinates are fixed from the last to
+        the first, each over exactly the values the remaining norm allows, so
+        every completed point is kept.  Coordinates are ints when the shift
+        lies in the coroot lattice and Fractions otherwise; (x,x) is a
+        Fraction.  Raises OrbitCapExceeded once more than ``cap`` candidate
+        coordinate values have been scanned.
+        """
+        m, e, diag, low = self._coroot_ldl
+        s = math.lcm(*(c.denominator for c in shift.coords))
+        y0 = [int(c * s) for c in shift.coords]
+        unit = e * m * m * s * s
+        top = math.floor(2 * Fraction(bound) * unit)
+        if top < 0:
+            return []
+        step = m * s
+        y = list(y0)
+        out = []
+        scanned = 0
+
+        def descend(k, room):
+            # y[k+1:] are fixed; s*t_k = base + step*n at y[k] = y0[k] + s*n
+            nonlocal scanned
+            if k < 0:
+                coords = tuple(y) if s == 1 else tuple(Fraction(v, s) for v in y)
+                out.append((coords, Fraction(top - room, unit)))
+                return
+            base = m * y0[k] + sum(c * y[i] for i, c in low[k])
+            h = math.isqrt(room // diag[k])
+            for n in range(-((h + base) // step), (h - base) // step + 1):
+                scanned += 1
+                if scanned > cap:
+                    raise OrbitCapExceeded(
+                        "lattice point enumeration exceeds cap of %d" % cap)
+                t = base + step * n
+                y[k] = y0[k] + s * n
+                descend(k - 1, room - diag[k] * t * t)
+
+        descend(self.rank - 1, top)
+        return out
 
     # -- finite irreducible characters --------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from affchar.charring import QCharacter, _wkey
-from affchar.kacweyl import _coroot_lattice_points
-from affchar.rootsys import Coweight, Weight, build_root_system
+from affchar.rootsys import Coweight, Weight, build_root_system, coweight
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]
 
@@ -45,13 +45,42 @@ def _naive_divide(rs, f, alpha):
     return {k: v for k, v in quotient.items() if v}
 
 
+def box_lattice_points(rs, shift, bound):
+    """Reference lattice enumerator: every point x of shift + (coroot lattice)
+    in a coordinate box, kept when (x,x) <= 2*bound, as sorted
+    (coordinates, (x,x)) pairs.  The box comes from Cauchy-Schwarz,
+    |x_i| = |(x, iota^-1(omega_i))| <= sqrt(2*bound*(omega_i, omega_i)), and
+    the form is the Gram matrix of rs.coform on the simple coroots, applied to
+    s*x in integers (s clears the shift's denominators); nothing is shared
+    with the pruned production enumerator."""
+    two_b = 2 * Fraction(bound)
+    if two_b < 0:
+        return []
+    l = rs.rank
+    gram = [[int(rs.coform(rs.simple_coroot(i), rs.simple_coroot(j)))
+             for j in range(1, l + 1)] for i in range(1, l + 1)]
+    s = math.lcm(*(c.denominator for c in shift.coords))
+    ranges = []
+    for c, om in zip(shift.coords, rs.fundamental_weights):
+        r = math.isqrt(math.ceil(two_b * rs.form(om, om))) + 1
+        ranges.append(range(math.floor(-r - c), math.ceil(r - c) + 1))
+    out = []
+    for ns in itertools.product(*ranges):
+        y = [int(s * c) + s * n for c, n in zip(shift.coords, ns)]
+        norm = Fraction(sum(y[i] * gram[i][j] * y[j]
+                            for i in range(l) for j in range(l)), s * s)
+        if norm <= two_b:
+            out.append((tuple(Fraction(v, s) for v in y), norm))
+    return sorted(out)
+
+
 def alternating_layers_oracle(rs, khat, shifted, n_layers):
     """J-layers of sum_(beta,u) det(u) e^(u(shifted) - khat*iota(beta)) summed
     over the whole affine Weyl group W x (coroot lattice), q-layers
     0..n_layers.  Every term is reduced to the strictly dominant chamber and
     the counts, which carry a factor |W|, are divided by |W|.  Deliberately
-    separate from the production translation-only sum; the two share only the
-    coroot-lattice enumerator."""
+    separate from the production translation-only sum, down to the
+    coroot-lattice enumerator (``box_lattice_points``)."""
     cs = rs.form(shifted, shifted)
     # q <= n_layers forces |khat*beta - u(shifted)|^2 <= cs + 2*khat*n_layers
     s_hi = math.isqrt(math.ceil(cs)) + math.isqrt(math.ceil(cs + 2 * khat * n_layers)) + 2
@@ -59,8 +88,8 @@ def alternating_layers_oracle(rs, khat, shifted, n_layers):
     images = [(rs.apply_matrix_weight(mat, shifted), sign)
               for mat, sign in rs.weyl_elements()]
     raw = [dict() for _ in range(n_layers + 1)]
-    for combo, _ in _coroot_lattice_points(rs, t_hi / 2, 10**7):
-        beta = Coweight(tuple(Fraction(c) for c in combo))
+    for coords, _ in box_lattice_points(rs, coweight([0] * rs.rank), t_hi / 2):
+        beta = Coweight(coords)
         shift = khat * rs.iota(beta)
         base = Fraction(khat) * rs.coform(beta, beta) / 2
         for image, sign in images:

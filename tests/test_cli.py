@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from affchar import cli
 from affchar.cli import (VerificationReport, build_parser, emit_report, main,
                          identity_check_suite, run_all_checks,
                          run_verification)
@@ -68,6 +69,25 @@ def test_emit_report_writes_file(tmp_path):
     assert path.read_text(encoding="utf-8") == payload
     with pytest.raises(ValueError):
         emit_report(rep, "yaml")
+
+
+def test_report_writes_leave_a_foreign_tmp_file_alone(tmp_path, monkeypatch):
+    # another writer's <path>.tmp must survive byte-for-byte, and no
+    # temporary file of our own may be left behind
+    rep = run_verification("coroots", {"type": "A", "rank": 2})
+    monkeypatch.setattr(cli, "identity_check_suite", lambda depth, heavy: [
+        ("coroots", {"type": "A", "rank": 2}, "PASS")])
+    for name, write in [
+            ("report.json", lambda p: emit_report(rep, "json", p)),
+            ("battery.json", lambda p: run_all_checks(out=p, stream=io.StringIO()))]:
+        path = tmp_path / name
+        foreign = tmp_path / (name + ".tmp")
+        foreign.write_bytes(b"another writer\x00\n")
+        write(path)
+        assert foreign.read_bytes() == b"another writer\x00\n"
+        assert json.loads(path.read_text(encoding="utf-8"))["check"] == "coroots"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "battery.json", "battery.json.tmp", "report.json", "report.json.tmp"]
 
 
 def test_main_exit_codes(tmp_path):

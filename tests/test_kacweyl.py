@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from affchar.charring import first_discrepancy
+from affchar.fock import LatticeCoset, lattice_character
 from affchar.kacweyl import (DEFAULT_ELEMENT_CAP, AffineDominantWeight,
                              _alternating_layers, weyl_kac_character)
-from affchar.rootsys import OrbitCapExceeded, RootSystem, build_root_system, weight
+from affchar.rootsys import (OrbitCapExceeded, RootSystem, build_root_system,
+                             coweight, weight)
 from conftest import SMALL_TYPES, alternating_layers_oracle
 
 
@@ -79,15 +82,14 @@ def test_coset_supports_disjoint_mod_root_lattice():
                     assert any(c.denominator != 1 for c in diff.coords)
 
 
-def test_e6_lattice_identity_small_depth():
-    # the E-type case of the lattice identity, at the depth the group size allows
-    from affchar.charring import first_discrepancy
-    from affchar.fock import LatticeCoset, lattice_character
-    rs = build_root_system("E", 6)
-    om = rs.fundamental_coweight(1)
-    lhs = weyl_kac_character(rs, AffineDominantWeight(1, rs.iota(om)), 2,
-                             cap_elements=10**7)
-    rhs = lattice_character(LatticeCoset(rs, om), 2)
+@pytest.mark.parametrize("l,node,depth", [(6, 1, 4), (7, 7, 3), (8, 0, 2)],
+                         ids=["E6", "E7", "E8"])
+def test_e_type_lattice_identity(l, node, depth):
+    # the E-type cases of the lattice identity; node 0 is the trivial coset
+    rs = build_root_system("E", l)
+    om = rs.fundamental_coweight(node) if node else coweight([0] * l)
+    lhs = weyl_kac_character(rs, AffineDominantWeight(1, rs.iota(om)), depth)
+    rhs = lattice_character(LatticeCoset(rs, om), depth)
     assert first_discrepancy(lhs, rhs) is None
 
 

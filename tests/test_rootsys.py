@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.rootsys import (OrbitCapExceeded, RootSystem, Weight,
+from affchar.charring import QCharacter
+from affchar.rootsys import (Coweight, OrbitCapExceeded, RootSystem, Weight,
                              build_root_system, coweight, weight)
-from conftest import SMALL_TYPES, weyl_character_oracle
+from conftest import SMALL_TYPES, box_lattice_points, weyl_character_oracle
 
 ALL_TYPES = SMALL_TYPES + [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("D", 5),
                            ("B", 2), ("C", 3), ("A", 4)]
 
 POSITIVE_ROOT_COUNTS = {
-    ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
+    ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 6): 21,
     ("B", 2): 4, ("B", 3): 9, ("C", 2): 4, ("C", 3): 9,
     ("D", 4): 12, ("D", 5): 20, ("G", 2): 6, ("F", 4): 24,
     ("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
@@ -308,3 +309,37 @@ def test_fundamental_characters_of_large_types(t, l):
         for i in (1, 6):
             ch = rs.finite_weyl_character(rs.fundamental_weight(i))
             assert len(ch) == 27 and set(ch.values()) == {1}
+
+
+@pytest.mark.parametrize("coeffs", [[1], [1, 0, 5]])
+def test_fundamental_coordinates_reject_wrong_length(coeffs):
+    rs = build_root_system("A", 2)
+    for convert in (rs.weight_from_fundamental, rs.coweight_from_fundamental):
+        with pytest.raises(ValueError, match="expected 2 fundamental coefficients"):
+            convert(coeffs)
+    line = "w=(%s) q=0/1 coeff=1" % ",".join(map(str, coeffs))
+    with pytest.raises(ValueError, match="expected 2"):
+        QCharacter.from_text(rs, 1, line)
+
+
+@pytest.mark.parametrize("t,l", SMALL_TYPES)
+def test_lattice_points_match_box_reference(t, l):
+    rs = build_root_system(t, l)
+    for key in rs.pi1_coset_keys:
+        shift = Coweight(key)
+        for bound in (0, Fraction(1, 2), 2, 9):
+            got = sorted(rs.lattice_points(shift, bound))
+            assert got == box_lattice_points(rs, shift, bound)
+        assert rs.lattice_points(shift, Fraction(-1, 3)) == []
+
+
+@pytest.mark.parametrize("t,l", [("A", 6), ("D", 4), ("E", 6), ("E", 7), ("E", 8)])
+def test_lattice_points_of_norm_two_are_the_roots(t, l):
+    # simply laced: the nonzero coroot-lattice vectors of norm <= 2 are the
+    # coroots, one per root; the coordinate box of the reference enumerator
+    # holds 1.8e8 points for E8
+    rs = build_root_system(t, l)
+    pts = rs.lattice_points(coweight([0] * l), 1)
+    assert len(pts) == 1 + 2 * POSITIVE_ROOT_COUNTS[(t, l)]
+    assert {p for p, norm in pts if norm} == {
+        tuple(s * c for c in co.coords) for co in rs.positive_coroots for s in (1, -1)}
