@@ -62,7 +62,7 @@ def node_pairing(rs: RootSystem, aw: AffineWeight, i: int) -> Fraction:
     """<aw, alpha_i> for node i in 0..rank, using the level at the affine node."""
     if i == 0:
         return aw.level - rs.pair(rs.highest_root_coroot, aw.finite)
-    return rs.pair(rs.simple_coroot(i), aw.finite)
+    return rs.simple_pairing(i, aw.finite)
 
 
 def reflect_affine_weight(rs: RootSystem, i: int, aw: AffineWeight) -> AffineWeight:
@@ -71,7 +71,7 @@ def reflect_affine_weight(rs: RootSystem, i: int, aw: AffineWeight) -> AffineWei
         # subtract m * (delta - theta-root)
         return AffineWeight(aw.level, aw.finite + m * rs.highest_root,
                             aw.delta_deg - m)
-    return AffineWeight(aw.level, aw.finite - m * rs.simple_root(i), aw.delta_deg)
+    return AffineWeight(aw.level, rs.reflect_weight(i, aw.finite), aw.delta_deg)
 
 
 def affine_coroot(rs: RootSystem, psi: AffineRoot) -> AffineCoroot:
@@ -136,31 +136,24 @@ class AffineWeylElement:
 
     @classmethod
     def simple_reflection(cls, rs: RootSystem, i: int) -> "AffineWeylElement":
+        """s_i for node i: y -> y - <y, root> coroot + translation, with
+        (root, coroot, translation) = (theta, theta-coroot, theta-coroot) at
+        node 0 and (alpha_i, alpha_i-coroot, 0) otherwise; the weight-side
+        matrix is x -> x - <coroot, x> root, the reflection's own inverse."""
         n = rs.rank
         if i == 0:
-            theta = rs.highest_root
-            theta_co = rs.highest_root_coroot
-            co_cols = []
-            wt_cols = []
-            for j in range(n):
-                basis_co = Coweight(tuple(Fraction(int(r == j)) for r in range(n)))
-                co_cols.append((basis_co - rs.pair(basis_co, theta) * theta_co).coords)
-                basis_wt = Weight(tuple(Fraction(int(r == j)) for r in range(n)))
-                wt_cols.append((basis_wt - rs.pair(theta_co, basis_wt) * theta).coords)
-            w_co = tuple(tuple(co_cols[j][r] for j in range(n)) for r in range(n))
-            w_wt = tuple(tuple(wt_cols[j][r] for j in range(n)) for r in range(n))
-            return cls(rs, w_co, w_wt, theta_co)
-        co_cols = []
-        wt_cols = []
-        for j in range(n):
-            basis_co = Coweight(tuple(Fraction(int(r == j)) for r in range(n)))
-            co_cols.append(rs.reflect_coweight(i, basis_co).coords)
-            basis_wt = Weight(tuple(Fraction(int(r == j)) for r in range(n)))
-            wt_cols.append(rs.reflect_weight(i, basis_wt).coords)
-        w_co = tuple(tuple(co_cols[j][r] for j in range(n)) for r in range(n))
-        w_wt = tuple(tuple(wt_cols[j][r] for j in range(n)) for r in range(n))
-        zero = Coweight(tuple(Fraction(0) for _ in range(n)))
-        return cls(rs, w_co, w_wt, zero)
+            root, coroot = rs.highest_root, rs.highest_root_coroot
+            trans = coroot
+        else:
+            root, coroot = rs.simple_root(i), rs.simple_coroot(i)
+            trans = 0 * coroot
+        on_co = rs.weight_fundamental_coords(root)
+        on_wt = rs.coweight_fundamental_coords(coroot)
+        w_co = tuple(tuple(int(r == j) - coroot.coords[r] * on_co[j] for j in range(n))
+                     for r in range(n))
+        w_wt = tuple(tuple(int(r == j) - root.coords[r] * on_wt[j] for j in range(n))
+                     for r in range(n))
+        return cls(rs, w_co, w_wt, trans)
 
     def _mat_vec(self, mat, coords):
         n = self.rs.rank

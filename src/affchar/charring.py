@@ -21,17 +21,6 @@ class TruncatedCharacterError(ValueError):
     """Raised when an operation requires an untruncated character."""
 
 
-def _wkey(rs: RootSystem, wt: Weight) -> tuple:
-    den = rs.weight_denominator
-    out = []
-    for c in wt.coords:
-        v = c * den
-        if v.denominator != 1:
-            raise ValueError("weight %r is not in the supported lattice" % (wt,))
-        out.append(int(v))
-    return tuple(out)
-
-
 def _qnum(rs: RootSystem, q) -> int:
     v = Fraction(q) * rs.q_denominator
     if v.denominator != 1:
@@ -54,7 +43,7 @@ class QCharacter:
             for wt, q, coeff in terms:
                 if coeff == 0:
                     continue
-                key = (_qnum(rs, q),) + _wkey(rs, wt)
+                key = (_qnum(rs, q),) + rs.weight_key(wt)
                 if bound is not None and key[0] > bound:
                     self.truncated = True
                     continue
@@ -86,14 +75,13 @@ class QCharacter:
 
     def terms(self):
         """Yield (weight, q_exp, coeff) in canonical order (q asc, weight lex)."""
-        den = self.rs.weight_denominator
-        qden = self.rs.q_denominator
+        rs = self.rs
         for key in sorted(self._terms):
-            wt = Weight(tuple(Fraction(c, den) for c in key[1:]))
-            yield wt, Fraction(key[0], qden), self._terms[key]
+            yield (rs.key_weight(key[1:]), Fraction(key[0], rs.q_denominator),
+                   self._terms[key])
 
     def coeff(self, wt: Weight, q) -> int:
-        key = (_qnum(self.rs, q),) + _wkey(self.rs, wt)
+        key = (_qnum(self.rs, q),) + self.rs.weight_key(wt)
         return self._terms.get(key, 0)
 
     def total(self) -> int:
@@ -112,9 +100,7 @@ class QCharacter:
     def layer(self, q) -> dict:
         """Finite-weight multiplicities of one q-layer."""
         qn = _qnum(self.rs, q)
-        den = self.rs.weight_denominator
-        return {Weight(tuple(Fraction(c, den) for c in k[1:])): v
-                for k, v in self._terms.items() if k[0] == qn}
+        return {self.rs.key_weight(k[1:]): v for k, v in self._terms.items() if k[0] == qn}
 
     def __eq__(self, other):
         return (isinstance(other, QCharacter) and self.rs is other.rs
@@ -198,17 +184,15 @@ class QCharacter:
 
     def _node_data(self, i: int):
         rs = self.rs
-        wden = rs.weight_denominator
         if i == 0:
-            row = tuple(-int(sum(rs.highest_root_coroot.coords[a] * rs.cartan[a][j]
-                                 for a in range(rs.rank))) for j in range(rs.rank))
+            row = tuple(-int(c) for c in
+                        rs.coweight_fundamental_coords(rs.highest_root_coroot))
             const = self.level
-            delta = (rs.q_denominator,) + tuple(
-                int(c) * wden for c in rs.highest_root.coords)
+            delta = (rs.q_denominator,) + rs.weight_key(rs.highest_root)
         else:
-            row = tuple(int(rs.cartan[i - 1][j]) for j in range(rs.rank))
+            row = rs.cartan[i - 1]
             const = 0
-            delta = (0,) + tuple(-wden if j == i - 1 else 0 for j in range(rs.rank))
+            delta = (0,) + rs.weight_key(-rs.simple_root(i))
         return row, const, delta
 
     def _pairing(self, key, row, const):
@@ -263,9 +247,7 @@ class QCharacter:
             raise TruncatedCharacterError(
                 "q=1 specialization of a truncated character is only a lower "
                 "bound; pass allow_truncated=True to accept that")
-        den = self.rs.weight_denominator
-        return {Weight(tuple(Fraction(c, den) for c in w)): v
-                for w, v in self._sums_over_q().items()}
+        return {self.rs.key_weight(w): v for w, v in self._sums_over_q().items()}
 
     def at_q1(self) -> "QCharacter":
         """Every term moved to q^0: the q = 1 specialization on scaled keys."""
@@ -284,7 +266,7 @@ class QCharacter:
         rs = self.rs
         wden = rs.weight_denominator
         for i in range(1, rs.rank + 1):
-            row = tuple(int(rs.cartan[i - 1][j]) for j in range(rs.rank))
+            row = rs.cartan[i - 1]
             refl = {}
             for key, c in self._terms.items():
                 num = sum(r * k for r, k in zip(row, key[1:]) if r)
@@ -380,9 +362,8 @@ def first_discrepancy(a: QCharacter, b: QCharacter):
         ca = a._terms.get(key, 0)
         cb = b._terms.get(key, 0)
         if ca != cb:
-            den = a.rs.weight_denominator
-            wt = Weight(tuple(Fraction(c, den) for c in key[1:]))
-            return (wt, Fraction(key[0], a.rs.q_denominator), ca, cb)
+            return (a.rs.key_weight(key[1:]), Fraction(key[0], a.rs.q_denominator),
+                    ca, cb)
     return None
 
 

@@ -312,6 +312,13 @@ _REQUIRED = {
     "curves": ("lam",),
     "domination": ("lam", "mu"),
 }
+# checks of a level-one identity, with what makes it level one
+_LEVEL_ONE = {
+    "fks": "the lattice coset character it compares with has level one",
+    "smooth-locus": "it reads multiplicities at the level-one weights iota(mu)",
+    "fixed-support": "it compares the support with iota of the fixed locus, "
+                     "the level-one weights",
+}
 
 
 def _validate(check_name: str, params: dict):
@@ -323,9 +330,15 @@ def _validate(check_name: str, params: dict):
         if len(params[key]) != params["rank"]:
             raise ValueError("%s needs %d comma-separated coefficients, got %d"
                              % (flag, params["rank"], len(params[key])))
-    if check_name == "fks" and params["level"] != 1:
-        raise ValueError("--level must be 1 for fks: the lattice coset "
-                         "character it compares with has level one")
+        if any(Fraction(c).denominator != 1 for c in params[key]):
+            raise ValueError("%s coefficients must be integers, got %s"
+                             % (flag, ",".join(str(c) for c in params[key])))
+    if params["level"] < 1:
+        raise ValueError("--level must be a positive integer, got %r"
+                         % (params["level"],))
+    if check_name in _LEVEL_ONE and params["level"] != 1:
+        raise ValueError("--level must be 1 for %s: %s"
+                         % (check_name, _LEVEL_ONE[check_name]))
     for name in ("cap_orbit", "cap_elements"):
         if params[name] < 1:
             raise ValueError("--%s must be a positive integer, got %r"

@@ -46,8 +46,8 @@ def demazure_character(rs: RootSystem, lam: Coweight, k: int,
     if not rs.in_coweight_lattice(lam):
         raise ValueError("lam must lie in the adjoint coweight lattice")
     if not rs.is_dominant_coweight(lam):
-        raise ValueError("lam must be dominant, got pairing vector %r"
-                         % (rs.coweight_fundamental_coords(lam),))
+        raise ValueError("lam must be dominant, got pairing vector (%s)"
+                         % ", ".join(map(str, rs.coweight_fundamental_coords(lam))))
     mu = fixed_point_weight(rs, lam, k)
     recorded = []
     for _ in range(_RAISING_CAP):
@@ -144,11 +144,8 @@ def fixed_support_image(rs: RootSystem, lam: Coweight) -> frozenset:
 def smooth_locus_profile(rs: RootSystem, lam: Coweight, k: int = 1) -> dict:
     """Multiplicity of each dominant mu <= lam in the level-k module for lam,
     read at the weight iota(mu); multiplicity 1 marks the open stratum."""
-    dc = demazure_character(rs, lam, k)
-    out = {}
-    for mu in dominant_coweights_below(rs, lam):
-        out[mu] = finite_multiplicity(dc, rs.iota(mu))
-    return out
+    q1 = demazure_character(rs, lam, k).char.specialize_q1()
+    return {mu: q1.get(rs.iota(mu), 0) for mu in dominant_coweights_below(rs, lam)}
 
 
 def boundary_dimension_check(rs: RootSystem, i: int) -> bool:

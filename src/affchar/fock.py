@@ -90,16 +90,29 @@ def lattice_character(coset: LatticeCoset, depth,
                       cap: int = DEFAULT_POINT_CAP) -> QCharacter:
     """Level-one character of the coset module: the sum of Fock towers over all
     coset points, normalized so the minimal q-exponent is 0 and complete
-    through (normalized) depth ``depth``."""
+    through (normalized) depth ``depth``.
+
+    One pass over the enumerator: the tower over x carries the weight key of
+    iota(x) from q-exponent (x,x)/2 - base on, base being the minimal
+    (x,x)/2 of the coset; distinct points have distinct weights."""
     rs = coset.rs
     depth = Fraction(depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     base = minimal_coset_norm_half(rs, coset.shift, cap=cap)
-    bound = depth + base
-    acc = QCharacter(rs, 1, [], depth=bound, truncated=True)
-    for pt in coset_points_up_to(rs, coset.shift, bound, cap=cap):
-        acc = acc + fock_character(rs, pt, 1, bound)
-    out = acc.normalized()
-    # re-register the truncation boundary in normalized coordinates
-    return QCharacter._raw(rs, 1, out._terms, depth, True)
+    counts = multipartition_counts(rs.rank, int(depth))
+    qden = rs.q_denominator
+    top = depth * qden
+    terms = {}
+    for coords, norm in rs.lattice_points(coset.shift, depth + base, cap):
+        q = (norm / 2 - base) * qden
+        if q.denominator != 1:
+            raise ArithmeticError("coset point %r has q-offset %s/%d"
+                                  % (coords, q, qden))
+        key = rs.weight_key(rs.iota(Coweight(coords)))
+        for d, c in enumerate(counts):
+            qn = int(q) + d * qden
+            if qn > top:
+                break
+            terms[(qn,) + key] = c
+    return QCharacter._raw(rs, 1, terms, depth, True)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charring import QCharacter, _wkey
+from .charring import QCharacter
 from .rootsys import RootSystem, Weight, coweight
 
 DEFAULT_ELEMENT_CAP = 2 * 10**6
@@ -58,10 +58,10 @@ def _alternating_layers(rs: RootSystem, khat: int, shifted: Weight, n_layers: in
     s_hi = _sqrt_ceil(cs) + _sqrt_ceil(cs + 2 * khat * n_layers)
     t_hi = Fraction(s_hi * s_hi, khat * khat) + 1
     wden = rs.weight_denominator
-    skey = _wkey(rs, shifted)
+    skey = rs.weight_key(shifted)
     # <alpha_i-check, shifted> and iota(alpha_i-check), both times wden
     pairvec = tuple(sum(a * k for a, k in zip(row, skey)) for row in rs.cartan)
-    iota_key = _wkey(rs, Weight(tuple(1 / d for d in rs.root_norm_halves)))
+    iota_key = rs.weight_key(Weight(tuple(1 / d for d in rs.root_norm_halves)))
     layers = [dict() for _ in range(n_layers + 1)]
     for combo, norm in rs.lattice_points(coweight([0] * rs.rank), t_hi / 2, cap):
         if norm.denominator != 1:
@@ -105,7 +105,7 @@ def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
     k = hw.level
     hv = rs.dual_coxeter
     rho = rs.rho_weight
-    rho_key = _wkey(rs, rho)
+    rho_key = rs.weight_key(rho)
     numJ = _alternating_layers(rs, k + hv, hw.finite + rho, n, cap_elements)
     denJ = _alternating_layers(rs, hv, rho, n, cap_elements)
     if denJ[0] != {rho_key: 1}:

@@ -36,54 +36,43 @@ def _frac_tuple(coords) -> tuple:
     return tuple(Fraction(c) for c in coords)
 
 
+def _dot(ints, coords):
+    # pairing of an integer Cartan row or column with exact coordinates; an
+    # int when the coordinates are ints or the pairing has no nonzero term
+    return sum(a * c for a, c in zip(ints, coords) if a and c)
+
+
 @dataclass(frozen=True)
-class Weight:
+class _Coords:
+    """Exact coordinate vector; the arithmetic keeps the concrete subclass."""
+
+    coords: tuple
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coords))
+
+    def __mul__(self, c):
+        c = Fraction(c)
+        return type(self)(tuple(c * a for a in self.coords))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.coords)
+
+
+class Weight(_Coords):
     """Vector on the root side, stored in simple-root coordinates."""
 
-    coords: tuple
 
-    def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Weight(tuple(-a for a in self.coords))
-
-    def __mul__(self, c):
-        c = Fraction(c)
-        return Weight(tuple(c * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(_Coords):
     """Vector on the coroot side, stored in simple-coroot coordinates."""
-
-    coords: tuple
-
-    def __add__(self, other):
-        return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Coweight(tuple(-a for a in self.coords))
-
-    def __mul__(self, c):
-        c = Fraction(c)
-        return Coweight(tuple(c * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
 
 
 def weight(coords) -> Weight:
@@ -168,6 +157,7 @@ class RootSystem:
         self.type_label = type_label
         self.rank = rank
         self.cartan = _cartan_matrix(type_label, rank)
+        self._cartan_cols = tuple(zip(*self.cartan))
         self._cartan_inv = _invert_matrix(self.cartan)
         self.root_norm_halves = self._symmetrize()  # d_i = (root_i, root_i)*/2
         self._generate_roots()
@@ -234,13 +224,15 @@ class RootSystem:
             raise ArithmeticError("highest root does not have squared length 2")
 
     def _reflect_root_coords(self, i, r):
-        # s_i on the weight side: subtract <alpha_i, x> alpha-check_i
-        m = sum(self.cartan[i][j] * r[j] for j in range(self.rank))
-        return tuple(c - m if j == i else c for j, c in enumerate(r))
+        # s_i on the weight side (0-based i): subtract <alpha_i-check, r> alpha_i,
+        # the pairing being the dot product of r with Cartan row i
+        m = _dot(self.cartan[i], r)
+        return r[:i] + (r[i] - m,) + r[i + 1:]
 
     def _reflect_coroot_coords(self, i, c):
-        m = sum(c[j] * self.cartan[j][i] for j in range(self.rank))
-        return tuple(x - m if j == i else x for j, x in enumerate(c))
+        # subtract <c, alpha_i> alpha_i-check, a dot product with Cartan column i
+        m = _dot(self._cartan_cols[i], c)
+        return c[:i] + (c[i] - m,) + c[i + 1:]
 
     def _build_fundamental(self):
         l = self.rank
@@ -276,23 +268,13 @@ class RootSystem:
         self.pi1_coset_keys = tuple(sorted(keys))
 
     def _build_scalings(self):
-        dens = [1]
-        for w in self.fundamental_weights:
-            dens.extend(c.denominator for c in w.coords)
-        for c in self.fundamental_coweights:
-            dens.extend(x.denominator for x in self.iota(c).coords)
-        wden = 1
-        for d in dens:
-            wden = wden * d // _gcd(wden, d)
-        self.weight_denominator = wden
-        qdens = [1]
-        for c in self.fundamental_coweights:
-            for c2 in self.fundamental_coweights:
-                qdens.append((self.coform(c, c2) / 2).denominator)
-        qden = 1
-        for d in qdens:
-            qden = qden * d // _gcd(qden, d)
-        self.q_denominator = qden
+        weights = self.fundamental_weights + tuple(
+            self.iota(c) for c in self.fundamental_coweights)
+        self.weight_denominator = math.lcm(
+            *(c.denominator for w in weights for c in w.coords))
+        self.q_denominator = math.lcm(
+            *((self.coform(c, c2) / 2).denominator
+              for c in self.fundamental_coweights for c2 in self.fundamental_coweights))
 
     def _longest_element_word(self):
         # lower rho-coweight to the antidominant chamber, recording reflections
@@ -336,11 +318,7 @@ class RootSystem:
 
     def form(self, a: Weight, b: Weight) -> Fraction:
         """Normalized invariant form on the weight side, long roots of norm 2."""
-        l = self.rank
-        return sum((self.root_norm_halves[i] * self.cartan[i][j]
-                    * a.coords[i] * b.coords[j]
-                    for i in range(l) for j in range(l)
-                    if a.coords[i] and b.coords[j]), Fraction(0))
+        return self.pair(self.iota_inv(a), b)
 
     def coform(self, a: Coweight, b: Coweight) -> Fraction:
         """Induced form on the coweight side: (a, b) = <a, iota(b)>."""
@@ -383,23 +361,42 @@ class RootSystem:
     def coweight_from_fundamental(self, coeffs) -> Coweight:
         return Coweight(self._combine(coeffs, self.fundamental_coweights))
 
+    def simple_pairing(self, i: int, wt: Weight):
+        """<alpha_i-check, wt> for node i (1-based): a dot product with Cartan row i."""
+        return _dot(self.cartan[i - 1], wt.coords)
+
     def weight_fundamental_coords(self, wt: Weight) -> tuple:
-        """Values of the simple coroots on wt."""
-        return tuple(self.pair(self.simple_coroot(i), wt) for i in range(1, self.rank + 1))
+        """Values of the simple coroots on wt: dot products with the Cartan rows."""
+        return tuple(_dot(row, wt.coords) for row in self.cartan)
 
     def coweight_fundamental_coords(self, co: Coweight) -> tuple:
-        """Values of co on the simple roots."""
-        return tuple(self.pair(co, self.simple_root(j)) for j in range(1, self.rank + 1))
+        """Values of co on the simple roots: dot products with the Cartan columns."""
+        return tuple(_dot(col, co.coords) for col in self._cartan_cols)
+
+    def weight_key(self, wt: Weight) -> tuple:
+        """Scaled integer key of wt: its coordinates times weight_denominator,
+        the form every character stores its weights in."""
+        den = self.weight_denominator
+        out = []
+        for c in wt.coords:
+            v = c * den
+            if v.denominator != 1:
+                raise ValueError("weight %r is not in the supported lattice" % (wt,))
+            out.append(int(v))
+        return tuple(out)
+
+    def key_weight(self, key) -> Weight:
+        """The Weight of a scaled integer key; inverse of ``weight_key``."""
+        den = self.weight_denominator
+        return Weight(tuple(Fraction(c, den) for c in key))
 
     # -- reflections, dominance, orbits ------------------------------------
 
     def reflect_weight(self, i: int, wt: Weight) -> Weight:
-        m = self.pair(self.simple_coroot(i), wt)
-        return wt - m * self.simple_root(i)
+        return Weight(self._reflect_root_coords(i - 1, wt.coords))
 
     def reflect_coweight(self, i: int, co: Coweight) -> Coweight:
-        m = self.pair(co, self.simple_root(i))
-        return co - m * self.simple_coroot(i)
+        return Coweight(self._reflect_coroot_coords(i - 1, co.coords))
 
     def is_dominant_coweight(self, co: Coweight) -> bool:
         return all(c >= 0 for c in self.coweight_fundamental_coords(co))
@@ -432,19 +429,22 @@ class RootSystem:
                 return cur
 
     def weyl_orbit(self, co: Coweight, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
-        seen = {co}
-        queue = [co]
+        # walk the orbit of s*co in integers, s clearing the denominators
+        s = math.lcm(*(c.denominator for c in co.coords))
+        start = tuple(int(c * s) for c in co.coords)
+        seen = {start}
+        queue = [start]
         while queue:
             cur = queue.pop()
-            for i in range(1, self.rank + 1):
-                nxt = self.reflect_coweight(i, cur)
+            for i in range(self.rank):
+                nxt = self._reflect_coroot_coords(i, cur)
                 if nxt not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(
                             "Weyl orbit exceeds cap of %d elements" % cap)
                     seen.add(nxt)
                     queue.append(nxt)
-        return frozenset(seen)
+        return frozenset(Coweight(tuple(Fraction(y, s) for y in ys)) for ys in seen)
 
     def apply_word_coweight(self, word, co: Coweight) -> Coweight:
         for i in reversed(word):
@@ -637,10 +637,8 @@ class RootSystem:
         fc = self.weight_fundamental_coords(nu)
         if any(c < 0 or c.denominator != 1 for c in fc):
             raise ValueError("highest weight must be dominant integral, got %r" % (fc,))
-        wden = self.weight_denominator
-        mults = self.irreducible_keys(tuple(int(c * wden) for c in nu.coords))
-        return {Weight(tuple(Fraction(c, wden) for c in key)): m
-                for key, m in mults.items()}
+        mults = self.irreducible_keys(self.weight_key(nu))
+        return {self.key_weight(key): m for key, m in mults.items()}
 
     def weyl_dimension(self, nu: Weight) -> int:
         """Dimension of the irreducible with highest weight nu (product formula)."""
@@ -651,12 +649,6 @@ class RootSystem:
         if num.denominator != 1:
             raise ArithmeticError("Weyl dimension formula gave a non-integer")
         return int(num)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.charring import QCharacter, _wkey
+from affchar.charring import QCharacter
 from affchar.rootsys import Coweight, Weight, build_root_system, coweight
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]
@@ -14,7 +15,8 @@ SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G",
 def weyl_character_oracle(rs, nu):
     """Independent finite character oracle: alternating sum over the full Weyl
     group divided by prod (1 - e^-alpha) through naive term-by-term long
-    division.  Deliberately separate from the production Freudenthal path."""
+    division.  Deliberately separate from the production path
+    (``RootSystem.irreducible_keys``, Demazure operators on scaled keys)."""
     rho = rs.rho_weight
     f = {}
     for mat, sign in rs.weyl_elements():
@@ -27,21 +29,35 @@ def weyl_character_oracle(rs, nu):
 
 
 def _naive_divide(rs, f, alpha):
+    # the leading term is the largest (form with alpha, coordinates); a heap of
+    # negated priorities yields it, and entries of keys that have left work
+    # are skipped
     quotient = {}
     work = dict(f)
+    heap = []
+
+    def push(w):
+        heapq.heappush(heap, (-rs.form(w, alpha), tuple(-c for c in w.coords)))
+
+    for w in work:
+        push(w)
     guard = 0
     while work:
         guard += 1
         assert guard < 10**6, "long division diverged (dividend not divisible?)"
-        w = max(work, key=lambda x: (rs.form(x, alpha), x.coords))
+        w = Weight(tuple(-c for c in heapq.heappop(heap)[1]))
+        if w not in work:
+            continue
         c = work.pop(w)
         quotient[w] = quotient.get(w, 0) + c
         down = w - alpha
         v = work.get(down, 0) + c
-        if v:
-            work[down] = v
-        elif down in work:
-            del work[down]
+        if not v:
+            work.pop(down, None)
+            continue
+        if down not in work:
+            push(down)
+        work[down] = v
     return {k: v for k, v in quotient.items() if v}
 
 
@@ -96,7 +112,7 @@ def alternating_layers_oracle(rs, khat, shifted, n_layers):
             q = base - rs.pair(beta, image)
             assert q.denominator == 1 and q >= 0, "bad grading"
             if q <= n_layers:
-                key = _wkey(rs, image - shift)
+                key = rs.weight_key(image - shift)
                 raw[int(q)][key] = raw[int(q)].get(key, 0) + sign
     order = len(rs.weyl_elements())
     out = []

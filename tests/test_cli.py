@@ -177,6 +177,13 @@ def test_parser_round_trip():
     (["smooth-locus"], "--lambda"),
     (["coroots", "--cap-orbit", "0"], "--cap-orbit"),
     (["fks", "--coset", "0", "--cap-elements", "-3"], "--cap-elements"),
+    (["smooth-locus", "--lambda", "2", "--level", "2"], "--level"),
+    (["fixed-support", "--lambda", "2", "--level", "2"], "--level"),
+    (["minuscule", "--level", "0"], "--level"),
+    (["tensor", "--lambda", "2", "--mu", "2", "--level", "-1"], "--level"),
+    (["curves", "--lambda", "1/2"], "--lambda"),
+    (["tensor", "--lambda", "2", "--mu", "3/2"], "--mu"),
+    (["fks", "--coset", "1/2"], "--coset"),
 ])
 def test_bad_input_exits_2_naming_the_flag(argv, flag, capsys):
     assert main(argv + ["--type", "A", "--rank", "1", "--depth", "2"]) == 2

@@ -123,6 +123,33 @@ def test_lattice_equals_theta_times_partition_series(t, l):
     assert chars_agree(prod, direct)
 
 
+def _fock_tower_sum(coset, depth):
+    # reference: the sum of fock_character towers over coset_points_up_to,
+    # normalized to start at q^0 and truncated at the normalized depth
+    rs = coset.rs
+    bound = depth + minimal_coset_norm_half(rs, coset.shift)
+    acc = QCharacter(rs, 1, [], depth=bound, truncated=True)
+    for pt in coset_points_up_to(rs, coset.shift, bound):
+        acc = acc + fock_character(rs, pt, 1, bound)
+    return acc.normalized()
+
+
+@pytest.mark.parametrize("t,l,zero_coset_only", [
+    ("A", 1, False), ("A", 2, False), ("A", 3, False), ("D", 4, False),
+    ("C", 2, True), ("G", 2, True)])
+def test_lattice_character_is_the_sum_of_fock_towers(t, l, zero_coset_only):
+    rs = build_root_system(t, l)
+    reps = rs.minuscule_reps()
+    shifts = [coweight([0] * l)] if zero_coset_only else list(reps.values())
+    assert zero_coset_only or len(shifts) == rs.pi1_order
+    for shift in shifts:
+        coset = LatticeCoset(rs, shift)
+        for depth in (0, 3, 6):
+            chi = lattice_character(coset, depth)
+            assert chi.truncated and chi.depth == depth
+            assert chi._terms == _fock_tower_sum(coset, depth)._terms
+
+
 def test_lattice_rejects_negative_depth():
     rs = build_root_system("A", 1)
     with pytest.raises(ValueError):

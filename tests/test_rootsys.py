@@ -93,6 +93,52 @@ def test_reflection_permutes_other_positive_roots(t, l):
         assert rs.reflect_weight(i, rs.simple_root(i)) == -rs.simple_root(i)
 
 
+@pytest.mark.parametrize("t,l", SMALL_TYPES + [("E", 6)])
+def test_cartan_row_pairings_match_pair(t, l, rng):
+    # references written with pair and the simple (co)roots, on random
+    # rational points, most of them off the weight and coweight lattices
+    rs = build_root_system(t, l)
+    for _ in range(6):
+        wt = weight([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(l)])
+        co = coweight([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(l)])
+        other = weight([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(l)])
+        assert rs.weight_fundamental_coords(wt) == tuple(
+            rs.pair(rs.simple_coroot(i), wt) for i in range(1, l + 1))
+        assert rs.coweight_fundamental_coords(co) == tuple(
+            rs.pair(co, rs.simple_root(i)) for i in range(1, l + 1))
+        for i in range(1, l + 1):
+            assert rs.reflect_weight(i, wt) == \
+                wt - rs.pair(rs.simple_coroot(i), wt) * rs.simple_root(i)
+            assert rs.reflect_coweight(i, co) == \
+                co - rs.pair(co, rs.simple_root(i)) * rs.simple_coroot(i)
+        assert rs.form(wt, other) == sum(
+            rs.root_norm_halves[i] * rs.cartan[i][j] * wt.coords[i] * other.coords[j]
+            for i in range(l) for j in range(l))
+        assert rs.form(wt, other) == rs.form(other, wt)
+
+
+def test_weights_and_coweights_are_distinct_types():
+    c = (Fraction(1), Fraction(-2))
+    assert Weight(c) != Coweight(c)
+    assert len({Weight(c), Coweight(c), Weight(c)}) == 2
+    assert isinstance(Weight(c) + Weight(c), Weight)
+    assert isinstance(-Coweight(c), Coweight) and isinstance(3 * Coweight(c), Coweight)
+
+
+@pytest.mark.parametrize("t,l", SMALL_TYPES + [("E", 6)])
+def test_weight_key_round_trip(t, l, rng):
+    rs = build_root_system(t, l)
+    for _ in range(6):
+        wt = rs.weight_from_fundamental([rng.randint(-4, 4) for _ in range(l)])
+        key = rs.weight_key(wt)
+        assert all(type(k) is int for k in key)
+        assert rs.key_weight(key) == wt
+        assert rs.weight_key(rs.key_weight(key)) == key
+    off = Fraction(1, 2 * rs.weight_denominator)
+    with pytest.raises(ValueError, match="not in the supported lattice"):
+        rs.weight_key(weight([off] + [0] * (l - 1)))
+
+
 # -- iota ------------------------------------------------------------------
 
 
