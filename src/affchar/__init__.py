@@ -6,15 +6,12 @@ multiplicities, minuscule strata)."""
 
 __version__ = "0.1.0"
 
-from .affine import (AffineCoroot, AffineRoot, AffineWeight, AffineWeylElement,
-                     affine_coroot, curve_data, fixed_point_support,
-                     fixed_point_weight, translation_reduced_word)
-from .charring import (QCharacter, chars_agree, demazure_op, first_discrepancy,
-                       is_weyl_invariant, qchar_mul, specialize_q1)
+from .affine import (AffineCoroot, AffineRoot, AffineWeight, affine_coroot,
+                     curve_data, fixed_point_support, fixed_point_weight)
+from .charring import QCharacter, chars_agree, first_discrepancy
 from .demazure import (DemazureCharacter, demazure_character,
-                       finite_multiplicity, restriction_domination_check,
-                       tensor_product_check)
-from .fock import LatticeCoset, fock_character, lattice_character
+                       restriction_domination_check, tensor_product_check)
+from .fock import LatticeCoset, lattice_character
 from .kacweyl import AffineDominantWeight, weyl_kac_character
 from .rootsys import (Coweight, OrbitCapExceeded, RootSystem, Weight,
                       build_root_system, coweight, weight)

@@ -311,50 +311,15 @@ class QCharacter:
         return cls(rs, level, terms, depth=depth, truncated=truncated)
 
 
-# -- module-level operation surface -------------------------------------------
-
-
-def qchar_mul(a: QCharacter, b: QCharacter) -> QCharacter:
-    return a.mul(b)
-
-
-def demazure_op(rs: RootSystem, i: int, chi: QCharacter) -> QCharacter:
-    if chi.rs is not rs:
-        raise ValueError("character is attached to a different root system")
-    return chi.demazure(i)
-
-
-def specialize_q1(chi: QCharacter, allow_truncated: bool = False) -> dict:
-    return chi.specialize_q1(allow_truncated=allow_truncated)
-
-
-def is_weyl_invariant(rs: RootSystem, chi: QCharacter) -> bool:
-    if chi.rs is not rs:
-        raise ValueError("character is attached to a different root system")
-    return chi.is_weyl_invariant()
-
-
-def effective_depth(chi: QCharacter):
-    """Depth up to which the character is complete: None means fully known."""
-    if not chi.truncated:
-        return None
-    return chi.depth
-
-
 def first_discrepancy(a: QCharacter, b: QCharacter):
     """First (q asc, weight lex) term where the characters differ, compared up
     to the common complete depth.  Returns None if they agree, otherwise a
     tuple (weight, q, coeff_a, coeff_b)."""
     if a.rs is not b.rs:
         raise ValueError("characters live over different root systems")
-    da, db = effective_depth(a), effective_depth(b)
-    if da is None:
-        common = db
-    elif db is None:
-        common = da
-    else:
-        common = min(da, db)
-    bound = None if common is None else common * a.rs.q_denominator
+    # a truncated character is complete up to its depth, a full one everywhere
+    depths = [c.depth for c in (a, b) if c.truncated and c.depth is not None]
+    bound = min(depths) * a.rs.q_denominator if depths else None
     keys = set(a._terms) | set(b._terms)
     for key in sorted(keys):
         if bound is not None and key[0] > bound:

@@ -507,8 +507,9 @@ def _small_dominant(rank: int, total: int):
     return out
 
 
-def run_all_checks(fmt: str = "text", out=None, depth: int = 8,
-                         heavy: bool = False, stream=None):
+def run_all_checks(out=None, depth: int = 8, heavy: bool = False, stream=None):
+    """Run the identity battery, one text line per check on ``stream``; the
+    JSON reports go to ``out`` when given.  Returns the exit code."""
     stream = stream or sys.stdout
     results = []
     all_ok = True
@@ -570,8 +571,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.all_checks:
-        return run_all_checks(fmt=args.fmt, out=args.out,
-                                    heavy=args.heavy)
+        if args.fmt == "json":
+            print("error: --all-checks prints text; use --out FILE for its "
+                  "JSON lines", file=sys.stderr)
+            return 2
+        try:
+            return run_all_checks(out=args.out, heavy=args.heavy)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     if not args.check:
         build_parser().print_usage()
         return 2
@@ -595,10 +603,11 @@ def main(argv=None) -> int:
         params["dump"] = args.dump
     try:
         report = run_verification(args.check, params)
-    except ValueError as exc:
+        payload = emit_report(report, args.fmt, args.out)
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.fmt, args.out))
+    sys.stdout.write(payload)
     return 0 if report.status == "PASS" else 1
 
 

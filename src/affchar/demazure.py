@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .affine import (AffineWeight, dominant_coweights_below, fixed_point_weight,
                      node_pairing, reflect_affine_weight)
 from .charring import QCharacter
-from .rootsys import Coweight, RootSystem, Weight
+from .rootsys import Coweight, RootSystem
 
 _RAISING_CAP = 10**6
 
@@ -87,15 +87,6 @@ def demazure_character_from_word(rs: RootSystem, lam: Coweight, k: int,
     for i in word:
         chi = chi.demazure(i)
     return _negate_finite(chi.normalized())
-
-
-def finite_multiplicity(dc: DemazureCharacter, nu: Weight) -> int:
-    """Total multiplicity of the finite weight nu across all q-layers."""
-    if dc.char.truncated:
-        raise ValueError("multiplicities of a truncated character are only "
-                         "lower bounds; recompute without a depth guard")
-    q1 = dc.char.specialize_q1()
-    return q1.get(nu, 0)
 
 
 def finite_support(dc: DemazureCharacter) -> frozenset:

@@ -28,26 +28,6 @@ def multipartition_counts(colors: int, depth: int) -> list:
     return out
 
 
-def fock_character(rs: RootSystem, lam: Coweight, k: int, depth) -> QCharacter:
-    """Level-k Fock tower over lam, truncated at absolute q-exponent ``depth``.
-
-    All states share the finite weight k*iota(lam); the tower starts at
-    q-offset k*(lam,lam)/2 and its graded multiplicities count rank-coloured
-    multipartitions.  The result is always flagged truncated.
-    """
-    if k < 1:
-        raise ValueError("level must be a positive integer")
-    depth = Fraction(depth)
-    offset = Fraction(k) * rs.coform(lam, lam) / 2
-    wt = k * rs.iota(lam)
-    span = depth - offset
-    terms = []
-    if span >= 0:
-        counts = multipartition_counts(rs.rank, int(span))
-        terms = [(wt, offset + d, c) for d, c in enumerate(counts)]
-    return QCharacter(rs, k, terms, depth=depth, truncated=True)
-
-
 @dataclass(frozen=True)
 class LatticeCoset:
     """Coset shift + coroot lattice inside the coweight lattice of rs."""
@@ -65,18 +45,6 @@ class LatticeCoset:
                 if norm.denominator != 1 or norm.numerator % 2:
                     raise ArithmeticError("coroot %r has odd or fractional norm %s"
                                           % (beta, norm))
-
-    def key(self):
-        return self.rs.coset_key(self.shift)
-
-
-def coset_points_up_to(rs: RootSystem, shift: Coweight, bound: Fraction,
-                       cap: int = DEFAULT_POINT_CAP) -> list:
-    """All lattice points shift + (coroot lattice) with (x,x)/2 <= bound, in
-    coordinate order; a Coweight view of ``RootSystem.lattice_points``."""
-    return sorted((Coweight(tuple(Fraction(c) for c in coords))
-                   for coords, _ in rs.lattice_points(shift, bound, cap)),
-                  key=lambda c: c.coords)
 
 
 def minimal_coset_norm_half(rs: RootSystem, shift: Coweight,

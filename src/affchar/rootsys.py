@@ -165,7 +165,6 @@ class RootSystem:
         self._build_pi1()
         self._build_scalings()
         self.longest_word = self._longest_element_word()
-        self._weyl_cache = None
         self._irrep_cache = {}
 
     # -- construction ---------------------------------------------------
@@ -342,9 +341,6 @@ class RootSystem:
             return -self._coroot_of[-r]
         raise ValueError("%r is not a root of %s%d" % (r, self.type_label, self.rank))
 
-    def is_root(self, r: Weight) -> bool:
-        return r in self._coroot_of or -r in self._coroot_of
-
     # -- coordinates ------------------------------------------------------
 
     def _combine(self, coeffs, basis) -> tuple:
@@ -445,48 +441,6 @@ class RootSystem:
                     seen.add(nxt)
                     queue.append(nxt)
         return frozenset(Coweight(tuple(Fraction(y, s) for y in ys)) for ys in seen)
-
-    def apply_word_coweight(self, word, co: Coweight) -> Coweight:
-        for i in reversed(word):
-            co = self.reflect_coweight(i, co)
-        return co
-
-    def weyl_elements(self, cap: int = 10**6):
-        """All Weyl elements as (integer matrix on simple-root coordinates, sign)
-        pairs, generated by reflection closure; raises OrbitCapExceeded when
-        the group has more than ``cap`` elements."""
-        if self._weyl_cache is not None:
-            if len(self._weyl_cache) > cap:
-                raise OrbitCapExceeded("Weyl group exceeds cap of %d" % cap)
-            return self._weyl_cache
-        l = self.rank
-        ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-        gens = []
-        for i in range(1, l + 1):
-            cols = [self._reflect_root_coords(i - 1,
-                    tuple(Fraction(int(r == j)) for r in range(l))) for j in range(l)]
-            gens.append(tuple(tuple(int(cols[j][r]) for j in range(l))
-                              for r in range(l)))
-        seen = {ident: 1}
-        queue = [ident]
-        while queue:
-            m = queue.pop()
-            s = seen[m]
-            for g in gens:
-                gm = tuple(tuple(sum(g[r][k] * m[k][c] for k in range(l))
-                                 for c in range(l)) for r in range(l))
-                if gm not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded("Weyl group exceeds cap of %d" % cap)
-                    seen[gm] = -s
-                    queue.append(gm)
-        self._weyl_cache = tuple(sorted(seen.items()))
-        return self._weyl_cache
-
-    def apply_matrix_weight(self, mat, wt: Weight) -> Weight:
-        l = self.rank
-        return Weight(tuple(sum(mat[r][k] * wt.coords[k] for k in range(l))
-                            for r in range(l)))
 
     # -- fundamental group -------------------------------------------------
 

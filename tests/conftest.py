@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import math
@@ -7,9 +8,62 @@ from fractions import Fraction
 import pytest
 
 from affchar.charring import QCharacter
+from affchar.fock import DEFAULT_POINT_CAP, multipartition_counts
 from affchar.rootsys import Coweight, Weight, build_root_system, coweight
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_elements(rs):
+    """All Weyl elements of rs as sorted (integer matrix on simple-root
+    coordinates, sign) pairs, generated by closure under the simple
+    reflections r -> r - <alpha_i-check, r> alpha_i (Cartan row i)."""
+    l = rs.rank
+    ident = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    gens = [tuple(tuple(int(r == j) - int(r == i) * rs.cartan[i][j] for j in range(l))
+                  for r in range(l)) for i in range(l)]
+    seen = {ident: 1}
+    queue = [ident]
+    while queue:
+        m = queue.pop()
+        for g in gens:
+            gm = tuple(tuple(sum(g[r][k] * m[k][c] for k in range(l))
+                             for c in range(l)) for r in range(l))
+            if gm not in seen:
+                seen[gm] = -seen[m]
+                queue.append(gm)
+    return tuple(sorted(seen.items()))
+
+
+def apply_matrix_weight(mat, wt):
+    return Weight(tuple(sum(a * c for a, c in zip(row, wt.coords)) for row in mat))
+
+
+def fock_character(rs, lam, k, depth):
+    """Reference level-k Fock tower over lam, truncated at absolute q-exponent
+    ``depth``: every state has the finite weight k*iota(lam), the tower starts
+    at q-offset k*(lam,lam)/2 and its graded multiplicities count
+    rank-coloured multipartitions.  The result is always flagged truncated."""
+    if k < 1:
+        raise ValueError("level must be a positive integer")
+    depth = Fraction(depth)
+    offset = Fraction(k) * rs.coform(lam, lam) / 2
+    wt = k * rs.iota(lam)
+    span = depth - offset
+    terms = []
+    if span >= 0:
+        counts = multipartition_counts(rs.rank, int(span))
+        terms = [(wt, offset + d, c) for d, c in enumerate(counts)]
+    return QCharacter(rs, k, terms, depth=depth, truncated=True)
+
+
+def coset_points_up_to(rs, shift, bound, cap=DEFAULT_POINT_CAP):
+    """All lattice points shift + (coroot lattice) with (x,x)/2 <= bound, in
+    coordinate order; a Coweight view of ``RootSystem.lattice_points``."""
+    return sorted((Coweight(tuple(Fraction(c) for c in coords))
+                   for coords, _ in rs.lattice_points(shift, bound, cap)),
+                  key=lambda c: c.coords)
 
 
 def weyl_character_oracle(rs, nu):
@@ -19,8 +73,8 @@ def weyl_character_oracle(rs, nu):
     (``RootSystem.irreducible_keys``, Demazure operators on scaled keys)."""
     rho = rs.rho_weight
     f = {}
-    for mat, sign in rs.weyl_elements():
-        w = rs.apply_matrix_weight(mat, nu + rho) - rho
+    for mat, sign in weyl_elements(rs):
+        w = apply_matrix_weight(mat, nu + rho) - rho
         f[w] = f.get(w, 0) + sign
     f = {k: v for k, v in f.items() if v}
     for alpha in rs.positive_roots:
@@ -101,8 +155,8 @@ def alternating_layers_oracle(rs, khat, shifted, n_layers):
     # q <= n_layers forces |khat*beta - u(shifted)|^2 <= cs + 2*khat*n_layers
     s_hi = math.isqrt(math.ceil(cs)) + math.isqrt(math.ceil(cs + 2 * khat * n_layers)) + 2
     t_hi = Fraction(s_hi * s_hi, khat * khat) + 1
-    images = [(rs.apply_matrix_weight(mat, shifted), sign)
-              for mat, sign in rs.weyl_elements()]
+    images = [(apply_matrix_weight(mat, shifted), sign)
+              for mat, sign in weyl_elements(rs)]
     raw = [dict() for _ in range(n_layers + 1)]
     for coords, _ in box_lattice_points(rs, coweight([0] * rs.rank), t_hi / 2):
         beta = Coweight(coords)
@@ -114,7 +168,7 @@ def alternating_layers_oracle(rs, khat, shifted, n_layers):
             if q <= n_layers:
                 key = rs.weight_key(image - shift)
                 raw[int(q)][key] = raw[int(q)].get(key, 0) + sign
-    order = len(rs.weyl_elements())
+    order = len(weyl_elements(rs))
     out = []
     for layer in raw:
         acc = {}

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from affchar.affine import (AffineCoroot, AffineRoot, AffineWeight,
-                            AffineWeylElement, affine_coroot, affine_pair,
-                            curve_data, dominant_coweights_below,
+                            affine_coroot, curve_data, dominant_coweights_below,
                             fixed_point_support, fixed_point_weight,
-                            simple_affine_coroot, translation_reduced_word)
+                            node_pairing)
 from affchar.rootsys import build_root_system, coweight, weight
 from conftest import SMALL_TYPES
 
@@ -27,7 +26,6 @@ def test_alpha0_coroot_is_k_minus_theta(t, l):
     rs = build_root_system(t, l)
     ac = affine_coroot(rs, AffineRoot(1, -rs.highest_root))
     assert ac == AffineCoroot(Fraction(1), -rs.highest_root_coroot)
-    assert simple_affine_coroot(rs, 0) == ac
 
 
 @pytest.mark.parametrize("t,l", [("A", 2), ("A", 3), ("D", 4)])
@@ -96,12 +94,11 @@ def test_fixed_point_weight_d4_omega1():
 def test_fixed_point_weight_alpha0_pairing(t, l):
     # level bookkeeping: the pairing against K - theta is k + k*(mu, theta)
     rs = build_root_system(t, l)
-    a0 = simple_affine_coroot(rs, 0)
     for i in range(1, l + 1):
         mu = rs.fundamental_coweight(i)
         for k in (1, 2):
             aw = fixed_point_weight(rs, mu, k)
-            assert affine_pair(rs, aw, a0) == \
+            assert node_pairing(rs, aw, 0) == \
                 k + k * rs.pair(rs.highest_root_coroot, rs.iota(mu))
 
 
@@ -150,77 +147,6 @@ def test_curve_endpoints_in_fixed_support(t, l):
             a, b = cd.endpoints
             assert a in support and b in support
             assert a - b == (top - n) * rs.coroot_of(alpha)
-
-
-# -- translation reduced words ------------------------------------------------------
-
-
-def test_translation_word_zero():
-    rs = build_root_system("A", 2)
-    assert translation_reduced_word(rs, coweight([0, 0])) == ()
-
-
-def test_translation_word_a1_alpha():
-    rs = build_root_system("A", 1)
-    assert len(translation_reduced_word(rs, rs.simple_coroot(1))) == 2
-
-
-def test_translation_word_a2_theta():
-    rs = build_root_system("A", 2)
-    theta = rs.highest_root_coroot
-    word = translation_reduced_word(rs, theta)
-    # sum over positive roots of <theta, alpha> = 1 + 1 + 2
-    assert len(word) == 4
-
-
-@pytest.mark.parametrize("t,l", [("A", 2), ("C", 2), ("D", 4)])
-def test_translation_word_length_formula(t, l, rng):
-    rs = build_root_system(t, l)
-    for _ in range(4):
-        lam = coweight([rng.randint(-2, 2) for _ in range(l)])
-        expect = sum(abs(rs.pair(lam, a)) for a in rs.positive_roots)
-        assert len(translation_reduced_word(rs, lam)) == expect
-
-
-def test_translation_word_subadditive():
-    rs = build_root_system("A", 2)
-    lam = rs.highest_root_coroot
-    mu = coweight([1, -1])
-    l1 = len(translation_reduced_word(rs, lam))
-    l2 = len(translation_reduced_word(rs, mu))
-    both = len(translation_reduced_word(rs, lam + mu))
-    assert both <= l1 + l2
-    # equality for a dominant pair
-    dom = rs.simple_coroot(1) + rs.simple_coroot(2)  # = theta, dominant
-    assert len(translation_reduced_word(rs, dom + dom)) == \
-        2 * len(translation_reduced_word(rs, dom))
-
-
-def test_translation_word_rejects_non_coroot_lattice():
-    rs = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        translation_reduced_word(rs, rs.fundamental_coweight(1))
-
-
-def test_word_recomposes_element():
-    rs = build_root_system("C", 2)
-    lam = rs.highest_root_coroot + rs.simple_coroot(2)
-    word = translation_reduced_word(rs, lam)
-    elem = AffineWeylElement.identity(rs)
-    for i in word:
-        elem = elem.compose(AffineWeylElement.simple_reflection(rs, i))
-    assert elem == AffineWeylElement.translation(rs, lam)
-    assert elem.act_coweight(coweight([0, 0])) == lam
-
-
-def test_semidirect_composition_law():
-    rs = build_root_system("A", 2)
-    s1 = AffineWeylElement.simple_reflection(rs, 1)
-    t_th = AffineWeylElement.translation(rs, rs.highest_root_coroot)
-    # s t_mu s^-1 = t_{s mu}
-    conj = s1.compose(t_th).compose(s1)
-    assert conj == AffineWeylElement.translation(
-        rs, rs.reflect_coweight(1, rs.highest_root_coroot))
 
 
 # -- fixed point support --------------------------------------------------------------

@@ -109,6 +109,28 @@ def test_main_json_output(tmp_path, capsys):
     assert obj["params"]["type"] == "A"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump"])
+def test_unwritable_path_exits_2(flag, tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x")
+    assert main(["fks", "--type", "A", "--rank", "1", "--coset", "1",
+                 "--depth", "2", flag, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_all_checks_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "identity_check_suite", lambda depth, heavy: [
+        ("coroots", {"type": "A", "rank": 2}, "PASS")])
+    assert main(["--all-checks", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_all_checks_rejects_json_format(capsys):
+    assert main(["--all-checks", "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out FILE" in err
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "affchar.cli", "coroots", "--type", "C",

@@ -1,13 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from affchar.affine import dominant_coweights_below, fixed_point_weight, node_pairing
-from affchar.charring import chars_agree
+from affchar.charring import TruncatedCharacterError, chars_agree
 from affchar.demazure import (boundary_dimension_check, demazure_character,
-                              demazure_character_from_word, finite_multiplicity,
-                              finite_support, fixed_support_image,
+                              demazure_character_from_word, finite_support,
+                              fixed_support_image,
                               restriction_domination_check, smooth_locus_profile,
                               tensor_product_check)
 from affchar.kacweyl import AffineDominantWeight, weyl_kac_character
@@ -50,8 +51,9 @@ def test_hand_oracle_a1_alpha():
     assert {(w, q): c for w, q, c in dc.char.terms()} == expected
     assert dc.char.total() == 4
     assert len(dc.word) == 2
-    assert finite_multiplicity(dc, weight([0])) == 2
-    assert finite_multiplicity(dc, rs.iota(alpha_co)) == 1
+    q1 = dc.char.specialize_q1()
+    assert q1.get(weight([0]), 0) == 2
+    assert q1.get(rs.iota(alpha_co), 0) == 1
 
 
 def test_minuscule_a1_adjoint():
@@ -117,20 +119,36 @@ def test_word_independence(t, l, rng):
         assert other == dc.char
 
 
+@pytest.mark.parametrize("t,l", SMALL_TYPES)
+def test_raising_word_length_is_translation_length(t, l):
+    # the raising word is a reduced word of the translation t_lam, whose
+    # length is <lam, 2 rho> = sum of <lam, alpha> over the positive roots;
+    # the coefficients run off the coroot lattice too
+    # levels 2 and 3 only up to the fundamental coweights: beyond them the
+    # B3, D4 and G2 characters take seconds each
+    levels = {0: (1, 2, 3), 1: (1, 2, 3), 2: (1,)}
+    rs = build_root_system(t, l)
+    for coeffs in itertools.product(range(3), repeat=l):
+        lam = rs.coweight_from_fundamental(coeffs)
+        length = sum(rs.pair(lam, a) for a in rs.positive_roots)
+        for k in levels.get(sum(coeffs), ()):
+            assert len(demazure_character(rs, lam, k).word) == length
+
+
 def test_finite_multiplicity_guards():
     rs = build_root_system("A", 1)
     dc = demazure_character(rs, rs.simple_coroot(1), 1, depth=Fraction(1, 2))
     assert dc.char.truncated
-    with pytest.raises(ValueError):
-        finite_multiplicity(dc, weight([0]))
+    with pytest.raises(TruncatedCharacterError):
+        dc.char.specialize_q1()
 
 
 def test_extreme_orbit_multiplicity_one():
     rs = build_root_system("A", 2)
     lam = 2 * rs.fundamental_coweight(1)
-    dc = demazure_character(rs, lam, 1)
+    q1 = demazure_character(rs, lam, 1).char.specialize_q1()
     for w in rs.weyl_orbit(lam):
-        assert finite_multiplicity(dc, rs.iota(w)) == 1
+        assert q1.get(rs.iota(w), 0) == 1
 
 
 # -- tensor factorization -------------------------------------------------------

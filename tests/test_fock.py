@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.charring import QCharacter, chars_agree, qchar_mul
-from affchar.fock import (LatticeCoset, coset_points_up_to, fock_character,
-                          lattice_character, minimal_coset_norm_half,
-                          multipartition_counts)
+from affchar.charring import QCharacter, chars_agree
+from affchar.fock import (LatticeCoset, lattice_character,
+                          minimal_coset_norm_half, multipartition_counts)
 from affchar.rootsys import OrbitCapExceeded, build_root_system, coweight, weight
-from conftest import brute_multipartition_count
+from conftest import (brute_multipartition_count, coset_points_up_to,
+                      fock_character)
 
 
 @pytest.mark.parametrize("colors,depth", [(1, 8), (2, 6), (4, 5)])
@@ -118,7 +118,7 @@ def test_lattice_equals_theta_times_partition_series(t, l):
     heis_terms = [(weight([0] * l), Fraction(d), c)
                   for d, c in enumerate(multipartition_counts(l, 4))]
     heis = QCharacter(rs, 0, heis_terms, depth=depth, truncated=True)
-    prod = qchar_mul(theta, heis)
+    prod = theta.mul(heis)
     direct = lattice_character(LatticeCoset(rs, zero), depth)
     assert chars_agree(prod, direct)
 

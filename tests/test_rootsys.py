@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from affchar.charring import QCharacter
-from affchar.rootsys import (Coweight, OrbitCapExceeded, RootSystem, Weight,
+from affchar.rootsys import (Coweight, OrbitCapExceeded, Weight,
                              build_root_system, coweight, weight)
 from conftest import SMALL_TYPES, box_lattice_points, weyl_character_oracle
 
@@ -220,16 +220,6 @@ def test_weyl_orbit_cap():
     rs = build_root_system("D", 4)
     with pytest.raises(OrbitCapExceeded):
         rs.weyl_orbit(rs.rho_coweight, cap=10)
-
-
-def test_weyl_elements_cap_holds_on_warm_cache():
-    rs = RootSystem("A", 2)
-    with pytest.raises(OrbitCapExceeded):
-        rs.weyl_elements(cap=2)
-    assert len(rs.weyl_elements()) == 6
-    with pytest.raises(OrbitCapExceeded):
-        rs.weyl_elements(cap=2)
-    assert len(rs.weyl_elements(cap=6)) == 6
 
 
 def test_dominant_part_is_orbit_invariant(rng):
