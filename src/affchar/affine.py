@@ -2,13 +2,16 @@
 
 Real affine roots are n*delta + alpha with alpha a finite root; affine
 coroots are c*K + a with a a finite coroot.  Affine weights are level*Lambda
-+ finite + d*delta triples, on which the simple affine reflections act.
++ finite + d*delta triples.  ``node_table`` is the one definition of how the
+simple affine nodes act on the (q, weight) keys that characters store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsys import Coweight, OrbitCapExceeded, RootSystem, Weight
 
@@ -39,20 +42,38 @@ class AffineWeight:
     delta_deg: Fraction
 
 
-def node_pairing(rs: RootSystem, aw: AffineWeight, i: int) -> Fraction:
-    """<aw, alpha_i> for node i in 0..rank, using the level at the affine node."""
-    if i == 0:
-        return aw.level - rs.pair(rs.highest_root_coroot, aw.finite)
-    return rs.simple_pairing(i, aw.finite)
+class AffineNode(NamedTuple):
+    """How simple affine node i acts on a character key (q-numerator, weight
+    key): <key, alpha_i-check> is row . key[1:] / weight_denominator plus
+    level_coeff times the level, and step is the key of -alpha_i, so s_i sends
+    a key of pairing m to key + m*step."""
+
+    row: tuple
+    level_coeff: int
+    step: tuple
+    wden: int
+
+    def pairing(self, key, level: int) -> int:
+        m, r = divmod(sum(a * k for a, k in zip(self.row, key[1:]) if a), self.wden)
+        if r:
+            raise ValueError("weight pairs non-integrally with the chosen coroot")
+        return m + self.level_coeff * level
 
 
-def reflect_affine_weight(rs: RootSystem, i: int, aw: AffineWeight) -> AffineWeight:
-    m = node_pairing(rs, aw, i)
-    if i == 0:
-        # subtract m * (delta - theta-root)
-        return AffineWeight(aw.level, aw.finite + m * rs.highest_root,
-                            aw.delta_deg - m)
-    return AffineWeight(aw.level, rs.reflect_weight(i, aw.finite), aw.delta_deg)
+@lru_cache(maxsize=None)
+def node_table(rs: RootSystem) -> tuple:
+    """The AffineNode of every node 0..rank: alpha_0 = delta - theta, whose
+    coroot K - theta-coroot pairs through the level, and the finite simple
+    roots, whose coroots pair through the integer Cartan rows."""
+    wden = rs.weight_denominator
+    theta_row = tuple(-int(c) for c in
+                      rs.coweight_fundamental_coords(rs.highest_root_coroot))
+    nodes = [AffineNode(theta_row, 1,
+                        (rs.q_denominator,) + rs.weight_key(rs.highest_root), wden)]
+    nodes += [AffineNode(rs.cartan[i - 1], 0,
+                         (0,) + rs.weight_key(-rs.simple_root(i)), wden)
+              for i in range(1, rs.rank + 1)]
+    return tuple(nodes)
 
 
 def affine_coroot(rs: RootSystem, psi: AffineRoot) -> AffineCoroot:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .affine import node_table
 from .rootsys import RootSystem, Weight
 
 
@@ -182,26 +183,6 @@ class QCharacter:
 
     # -- Demazure operators --------------------------------------------------
 
-    def _node_data(self, i: int):
-        rs = self.rs
-        if i == 0:
-            row = tuple(-int(c) for c in
-                        rs.coweight_fundamental_coords(rs.highest_root_coroot))
-            const = self.level
-            delta = (rs.q_denominator,) + rs.weight_key(rs.highest_root)
-        else:
-            row = rs.cartan[i - 1]
-            const = 0
-            delta = (0,) + rs.weight_key(-rs.simple_root(i))
-        return row, const, delta
-
-    def _pairing(self, key, row, const):
-        m, r = divmod(sum(a * k for a, k in zip(row, key[1:]) if a),
-                      self.rs.weight_denominator)
-        if r:
-            raise ValueError("weight pairs non-integrally with the chosen coroot")
-        return m + const
-
     def demazure(self, i: int) -> "QCharacter":
         """Isobaric divided-difference operator for node i (0 = affine node).
 
@@ -211,10 +192,11 @@ class QCharacter:
         """
         if not 0 <= i <= self.rs.rank:
             raise ValueError("node index %d out of range" % i)
-        row, const, delta = self._node_data(i)
+        node = node_table(self.rs)[i]
+        step, level = node.step, self.level
         out = {}
         for key, c in self._terms.items():
-            m = self._pairing(key, row, const)
+            m = node.pairing(key, level)
             if m >= 0:
                 rng = range(0, m + 1)
                 sign = 1
@@ -224,7 +206,7 @@ class QCharacter:
                 rng = range(-1, m, -1)
                 sign = -1
             for j in rng:
-                k2 = tuple(a + j * d for a, d in zip(key, delta))
+                k2 = tuple(a + j * d for a, d in zip(key, step))
                 nv = out.get(k2, 0) + sign * c
                 if nv:
                     out[k2] = nv

@@ -9,6 +9,7 @@ elapsed_ms field is excluded from the determinism contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -413,19 +414,29 @@ def emit_report(report: VerificationReport, fmt: str = "text", path=None) -> str
     else:
         raise ValueError("format must be 'text' or 'json'")
     if path is not None:
-        _write_atomic(path, payload)
+        with _atomic_writer(path) as fh:
+            fh.write(payload)
     return payload
 
 
-def _write_atomic(path, payload: str):
-    """Write ``payload`` to ``path`` through a fresh temporary file in the
-    same directory, so concurrent writers never share a temporary name."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+@contextlib.contextmanager
+def _atomic_writer(path):
+    """Text handle on a fresh temporary file beside ``path``, renamed onto it
+    when the block succeeds, so concurrent writers never share a temporary
+    name.  It is made on entry, so a bad directory fails before any work, and
+    a failed file operation names ``path``, not the temporary file."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+            yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -513,20 +524,21 @@ def run_all_checks(out=None, depth: int = 8, heavy: bool = False, stream=None):
     stream = stream or sys.stdout
     results = []
     all_ok = True
-    for check, params, expect in identity_check_suite(depth=depth, heavy=heavy):
-        rep = run_verification(check, params)
-        ok = rep.status == expect
-        if rep.status == "SKIPPED":
-            ok = True
-        all_ok = all_ok and ok
-        marker = "ok" if ok else "UNEXPECTED"
-        if expect == "FAIL" and rep.status == "FAIL":
-            marker += " (negative control)"
-        stream.write(emit_report(rep, "text").rstrip("\n")
-                     + "  expect=%s [%s]\n" % (expect, marker))
-        results.append((rep, expect, ok))
-    if out is not None:
-        _write_atomic(out, "".join(r.to_json() for r, _, _ in results))
+    with (_atomic_writer(out) if out is not None else contextlib.nullcontext()) as fh:
+        for check, params, expect in identity_check_suite(depth=depth, heavy=heavy):
+            rep = run_verification(check, params)
+            ok = rep.status == expect
+            if rep.status == "SKIPPED":
+                ok = True
+            all_ok = all_ok and ok
+            marker = "ok" if ok else "UNEXPECTED"
+            if expect == "FAIL" and rep.status == "FAIL":
+                marker += " (negative control)"
+            stream.write(emit_report(rep, "text").rstrip("\n")
+                         + "  expect=%s [%s]\n" % (expect, marker))
+            results.append((rep, expect, ok))
+        if fh is not None:
+            fh.write("".join(r.to_json() for r, _, _ in results))
     stream.write("identity-battery: %s (%d checks)\n"
                  % ("PASS" if all_ok else "FAIL", len(results)))
     return 0 if all_ok else 1

@@ -11,10 +11,11 @@ q-character normalized to start at q^0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .affine import (AffineWeight, dominant_coweights_below, fixed_point_weight,
-                     node_pairing, reflect_affine_weight)
-from .charring import QCharacter
+from .affine import (AffineWeight, dominant_coweights_below, fixed_point_support,
+                     fixed_point_weight, node_table)
+from .charring import QCharacter, _qnum
 from .rootsys import Coweight, RootSystem
 
 _RAISING_CAP = 10**6
@@ -27,11 +28,6 @@ class DemazureCharacter:
     level: int
     base_weight: AffineWeight
     word: tuple
-
-
-def _negate_finite(chi: QCharacter) -> QCharacter:
-    terms = {(k[0],) + tuple(-c for c in k[1:]): v for k, v in chi._terms.items()}
-    return QCharacter._raw(chi.rs, chi.level, terms, chi.depth, chi.truncated)
 
 
 def demazure_character(rs: RootSystem, lam: Coweight, k: int,
@@ -49,44 +45,34 @@ def demazure_character(rs: RootSystem, lam: Coweight, k: int,
         raise ValueError("lam must be dominant, got pairing vector (%s)"
                          % ", ".join(map(str, rs.coweight_fundamental_coords(lam))))
     mu = fixed_point_weight(rs, lam, k)
+    key = (_qnum(rs, -mu.delta_deg),) + rs.weight_key(mu.finite)
+    nodes = node_table(rs)
     recorded = []
     for _ in range(_RAISING_CAP):
-        for i in range(0, rs.rank + 1):
-            if node_pairing(rs, mu, i) < 0:
+        for i, node in enumerate(nodes):
+            m = node.pairing(key, k)
+            if m < 0:
+                # s_i: the far end of the node's string through key
                 recorded.append(i)
-                mu = reflect_affine_weight(rs, i, mu)
+                key = tuple(a + m * d for a, d in zip(key, node.step))
                 break
         else:
             break
     else:
         raise RuntimeError("weight raising did not terminate")
     word = tuple(reversed(recorded))
-    base = mu
+    base = AffineWeight(k, rs.key_weight(key[1:]),
+                        -Fraction(key[0], rs.q_denominator))
     chi = QCharacter(rs, k, [(base.finite, -base.delta_deg, 1)], depth=depth)
     for i in word:
         chi = chi.demazure(i)
     # report the section-space side: finite support is then the iota-image of
     # the fixed locus and the q^0 layer is the irreducible of highest weight
     # k * (minuscule weight of the coset of lam)
-    chi = _negate_finite(chi.normalized())
+    chi = chi.normalized()
+    terms = {(t[0],) + tuple(-c for c in t[1:]): v for t, v in chi._terms.items()}
+    chi = QCharacter._raw(rs, k, terms, chi.depth, chi.truncated)
     return DemazureCharacter(chi, lam, k, base, word)
-
-
-def demazure_character_from_word(rs: RootSystem, lam: Coweight, k: int,
-                                 word) -> QCharacter:
-    """Apply a caller-supplied raising word from the base weight of lam; used to
-    test independence of the character from the choice of word."""
-    mu = fixed_point_weight(rs, lam, k)
-    for i in reversed(tuple(word)):
-        if node_pairing(rs, mu, i) >= 0:
-            raise ValueError("word is not a valid raising sequence for lam")
-        mu = reflect_affine_weight(rs, i, mu)
-    if any(node_pairing(rs, mu, i) < 0 for i in range(rs.rank + 1)):
-        raise ValueError("word does not raise the extreme weight to dominance")
-    chi = QCharacter(rs, k, [(mu.finite, -mu.delta_deg, 1)])
-    for i in word:
-        chi = chi.demazure(i)
-    return _negate_finite(chi.normalized())
 
 
 def finite_support(dc: DemazureCharacter) -> frozenset:
@@ -128,7 +114,6 @@ def restriction_domination_check(rs: RootSystem, lam: Coweight, mu: Coweight,
 
 def fixed_support_image(rs: RootSystem, lam: Coweight) -> frozenset:
     """Image under iota of the torus-fixed support of the Schubert closure."""
-    from .affine import fixed_point_support
     return frozenset(rs.iota(c) for c in fixed_point_support(rs, lam))
 
 

@@ -357,10 +357,6 @@ class RootSystem:
     def coweight_from_fundamental(self, coeffs) -> Coweight:
         return Coweight(self._combine(coeffs, self.fundamental_coweights))
 
-    def simple_pairing(self, i: int, wt: Weight):
-        """<alpha_i-check, wt> for node i (1-based): a dot product with Cartan row i."""
-        return _dot(self.cartan[i - 1], wt.coords)
-
     def weight_fundamental_coords(self, wt: Weight) -> tuple:
         """Values of the simple coroots on wt: dot products with the Cartan rows."""
         return tuple(_dot(row, wt.coords) for row in self.cartan)
@@ -402,9 +398,6 @@ class RootSystem:
 
     def in_coweight_lattice(self, co: Coweight) -> bool:
         return all(c.denominator == 1 for c in self.coweight_fundamental_coords(co))
-
-    def in_coroot_lattice(self, co: Coweight) -> bool:
-        return all(c.denominator == 1 for c in co.coords)
 
     def dominance_leq(self, mu: Coweight, lam: Coweight) -> bool:
         """mu <= lam iff lam - mu is a nonnegative integer sum of simple coroots."""

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from affchar.affine import AffineWeight, fixed_point_weight
 from affchar.charring import QCharacter
 from affchar.fock import DEFAULT_POINT_CAP, multipartition_counts
 from affchar.rootsys import Coweight, Weight, build_root_system, coweight
@@ -217,6 +218,43 @@ def brute_multipartition_count(colors, total):
                    for d in range(remaining + 1))
 
     return rec(total, colors) if colors else int(total == 0)
+
+
+def node_pairing(rs, aw, i):
+    """Reference <aw, alpha_i-check> for node i in 0..rank in Fraction
+    arithmetic on AffineWeights, using the level at the affine node;
+    independent of the integer node table of ``affchar.affine``."""
+    if i == 0:
+        return aw.level - rs.pair(rs.highest_root_coroot, aw.finite)
+    return rs.pair(rs.simple_coroot(i), aw.finite)
+
+
+def reflect_affine_weight(rs, i, aw):
+    """Reference simple affine reflection s_i of an AffineWeight."""
+    m = node_pairing(rs, aw, i)
+    if i == 0:
+        # subtract m * (delta - theta-root)
+        return AffineWeight(aw.level, aw.finite + m * rs.highest_root,
+                            aw.delta_deg - m)
+    return AffineWeight(aw.level, rs.reflect_weight(i, aw.finite), aw.delta_deg)
+
+
+def demazure_character_from_word(rs, lam, k, word):
+    """Apply a caller-supplied raising word from the base weight of lam, the
+    weights raised by the Fraction reference above; used to test that the
+    character does not depend on the choice of word."""
+    mu = fixed_point_weight(rs, lam, k)
+    for i in reversed(tuple(word)):
+        if node_pairing(rs, mu, i) >= 0:
+            raise ValueError("word is not a valid raising sequence for lam")
+        mu = reflect_affine_weight(rs, i, mu)
+    if any(node_pairing(rs, mu, i) < 0 for i in range(rs.rank + 1)):
+        raise ValueError("word does not raise the extreme weight to dominance")
+    chi = QCharacter(rs, k, [(mu.finite, -mu.delta_deg, 1)])
+    for i in word:
+        chi = chi.demazure(i)
+    # section-space side, as demazure_character reports it
+    return QCharacter(rs, k, [(-w, q, c) for w, q, c in chi.normalized().terms()])
 
 
 def random_qcharacter(rs, rnd, level=1, nterms=6, span=3, qspan=4, depth=None):

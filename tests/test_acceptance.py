@@ -8,16 +8,15 @@ from fractions import Fraction
 import pytest
 
 from affchar.affine import (AffineRoot, affine_coroot, curve_data,
-                            dominant_coweights_below, fixed_point_weight,
-                            node_pairing, reflect_affine_weight)
+                            dominant_coweights_below, fixed_point_weight)
 from affchar.charring import chars_agree, first_discrepancy
-from affchar.demazure import (demazure_character, demazure_character_from_word,
-                              finite_support, fixed_support_image,
-                              tensor_product_check)
+from affchar.demazure import (demazure_character, finite_support,
+                              fixed_support_image, tensor_product_check)
 from affchar.fock import LatticeCoset, lattice_character
 from affchar.kacweyl import AffineDominantWeight, weyl_kac_character
 from affchar.rootsys import build_root_system, coweight, weight
-from conftest import affine_bond_order, random_qcharacter
+from conftest import (affine_bond_order, demazure_character_from_word,
+                      node_pairing, random_qcharacter, reflect_affine_weight)
 
 FKS_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4)]
 BATTERY_TYPES = [("A", 2), ("A", 3), ("D", 4)]

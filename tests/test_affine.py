@@ -4,10 +4,9 @@ import pytest
 
 from affchar.affine import (AffineCoroot, AffineRoot, AffineWeight,
                             affine_coroot, curve_data, dominant_coweights_below,
-                            fixed_point_support, fixed_point_weight,
-                            node_pairing)
+                            fixed_point_support, fixed_point_weight, node_table)
 from affchar.rootsys import build_root_system, coweight, weight
-from conftest import SMALL_TYPES
+from conftest import SMALL_TYPES, node_pairing, reflect_affine_weight
 
 
 # -- affine coroots -----------------------------------------------------------
@@ -100,6 +99,32 @@ def test_fixed_point_weight_alpha0_pairing(t, l):
             aw = fixed_point_weight(rs, mu, k)
             assert node_pairing(rs, aw, 0) == \
                 k + k * rs.pair(rs.highest_root_coroot, rs.iota(mu))
+
+
+@pytest.mark.parametrize("t,l", SMALL_TYPES + [("E", 6)])
+def test_node_table_matches_fraction_reference(t, l, rng):
+    # the integer node table against the Fraction pairing and reflection of
+    # AffineWeights, on random weights at levels 1-3 and every node
+    rs = build_root_system(t, l)
+    nodes = node_table(rs)
+    assert len(nodes) == l + 1
+
+    def key_of(aw):
+        q = -aw.delta_deg * rs.q_denominator
+        assert q.denominator == 1
+        return (int(q),) + rs.weight_key(aw.finite)
+
+    for _ in range(30):
+        fin = rs.weight_from_fundamental([rng.randint(-3, 3) for _ in range(l)])
+        deg = Fraction(rng.randint(-30, 30), rs.q_denominator)
+        for k in (1, 2, 3):
+            aw = AffineWeight(k, fin, deg)
+            key = key_of(aw)
+            for i, node in enumerate(nodes):
+                m = node.pairing(key, k)
+                assert m == node_pairing(rs, aw, i)
+                assert tuple(a + m * d for a, d in zip(key, node.step)) == \
+                    key_of(reflect_affine_weight(rs, i, aw))
 
 
 # -- invariant curves -------------------------------------------------------------

@@ -116,13 +116,23 @@ def test_unwritable_path_exits_2(flag, tmp_path, capsys):
                  "--depth", "2", flag, bad]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+    # the message names the path given, not a temporary file
+    assert bad in captured.err and ".tmp" not in captured.err
 
 
 def test_all_checks_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    # the missing directory is reported before the first check runs
+    ran = []
     monkeypatch.setattr(cli, "identity_check_suite", lambda depth, heavy: [
         ("coroots", {"type": "A", "rank": 2}, "PASS")])
-    assert main(["--all-checks", "--out", str(tmp_path / "missing" / "x.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda *args: ran.append(args))
+    bad = str(tmp_path / "missing" / "x.json")
+    assert main(["--all-checks", "--out", bad]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert bad in captured.err and ".tmp" not in captured.err
 
 
 def test_all_checks_rejects_json_format(capsys):

@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.affine import dominant_coweights_below, fixed_point_weight, node_pairing
+from affchar.affine import dominant_coweights_below, fixed_point_weight
 from affchar.charring import TruncatedCharacterError, chars_agree
 from affchar.demazure import (boundary_dimension_check, demazure_character,
-                              demazure_character_from_word, finite_support,
-                              fixed_support_image,
+                              finite_support, fixed_support_image,
                               restriction_domination_check, smooth_locus_profile,
                               tensor_product_check)
 from affchar.kacweyl import AffineDominantWeight, weyl_kac_character
 from affchar.rootsys import build_root_system, coweight, weight
-from conftest import SMALL_TYPES
+from conftest import (SMALL_TYPES, demazure_character_from_word, node_pairing,
+                      reflect_affine_weight)
 
 
 def test_unit_character_for_zero():
@@ -113,7 +113,6 @@ def test_word_independence(t, l, rng):
                 break
             i = rng.choice(neg)
             word_rev.append(i)
-            from affchar.affine import reflect_affine_weight
             mu = reflect_affine_weight(rs, i, mu)
         other = demazure_character_from_word(rs, lam, 1, tuple(reversed(word_rev)))
         assert other == dc.char

@@ -48,7 +48,8 @@ REMOVED_NAMES = [
     "simple_affine_coroot", "is_positive", "is_root", "apply_word_coweight",
     "weyl_elements", "apply_matrix_weight", "_weyl_cache", "qchar_mul",
     "demazure_op", "effective_depth", "fock_character", "coset_points_up_to",
-    "finite_multiplicity",
+    "finite_multiplicity", "node_pairing", "reflect_affine_weight", "_node_data",
+    "demazure_character_from_word", "in_coroot_lattice", "simple_pairing",
 ]
 
 
