@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootsys import Coweight, OrbitCapExceeded, RootSystem, Weight
+from .rootsys import DEFAULT_ORBIT_CAP, Coweight, OrbitCapExceeded, RootSystem, Weight
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def dominant_coweights_below(rs: RootSystem, lam: Coweight) -> list:
     return sorted(out, key=lambda c: (-sum(c.coords), c.coords))
 
 
-def fixed_point_support(rs: RootSystem, lam: Coweight, cap: int = 10**6) -> frozenset:
+def fixed_point_support(rs: RootSystem, lam: Coweight,
+                        cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
     """Torus-fixed locus of the Schubert closure for dominant lam: the union of
     Weyl orbits of dominant mu <= lam in the same coset."""
     if not rs.is_dominant_coweight(lam):

@@ -245,23 +245,13 @@ class QCharacter:
         return {w: v for w, v in out.items() if v}
 
     def is_weyl_invariant(self) -> bool:
-        rs = self.rs
-        wden = rs.weight_denominator
-        for i in range(1, rs.rank + 1):
-            row = rs.cartan[i - 1]
-            refl = {}
-            for key, c in self._terms.items():
-                num = sum(r * k for r, k in zip(row, key[1:]) if r)
-                if num % wden:
-                    return False
-                m = num // wden
-                k2 = (key[0],) + tuple(
-                    a - m * wden if j == i - 1 else a
-                    for j, a in enumerate(key[1:]))
-                refl[k2] = refl.get(k2, 0) + c
-            if refl != self._terms:
-                return False
-        return True
+        """True iff every finite Demazure operator fixes the character, which
+        holds exactly when every simple reflection does (D_i f = f iff
+        s_i f = f); False when a weight lies off the weight lattice."""
+        try:
+            return all(self.demazure(i) == self for i in range(1, self.rs.rank + 1))
+        except ValueError:
+            return False
 
     # -- serialization ----------------------------------------------------------
 

@@ -13,10 +13,10 @@ import contextlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .affine import (AffineCoroot, AffineRoot, affine_coroot, curve_data,
@@ -26,22 +26,8 @@ from .demazure import (demazure_character, finite_support,
                        fixed_support_image, restriction_domination_check,
                        smooth_locus_profile, tensor_product_check)
 from .fock import LatticeCoset, lattice_character
-from .kacweyl import DEFAULT_ELEMENT_CAP, AffineDominantWeight, weyl_kac_character
+from .kacweyl import AffineDominantWeight, weyl_kac_character
 from .rootsys import DEFAULT_ORBIT_CAP, OrbitCapExceeded, build_root_system
-
-ENV_PREFIX = "AFFCHAR_"
-
-CHECK_IDENTITY = {
-    "fks": "Frenkel-Kac-Segal: irreducible level-one character vs lattice coset character",
-    "tensor": "tensor factorization of Demazure characters under addition of coweights",
-    "borel-weil": "stabilization of Demazure characters to the irreducible character",
-    "smooth-locus": "multiplicity-one exactly on the extreme fixed points",
-    "fixed-support": "finite support of the Demazure character vs torus-fixed locus",
-    "minuscule": "minuscule Schubert strata carry a single finite irreducible layer",
-    "coroots": "affine coroot formula and its Weyl equivariance",
-    "curves": "degrees and endpoints of invariant rational curves",
-    "domination": "coefficientwise domination under dominance order",
-}
 
 
 @dataclass
@@ -57,7 +43,7 @@ class VerificationReport:
     def to_json(self) -> str:
         obj = {
             "check": self.check,
-            "identity": CHECK_IDENTITY.get(self.check, ""),
+            "identity": CHECKS[self.check].identity if self.check in CHECKS else "",
             "params": self.params,
             "status": self.status,
             "elapsed_ms": self.elapsed_ms,
@@ -89,18 +75,16 @@ def _params_str(params: dict) -> str:
     return ",".join("%s:%s" % (k, params[k]) for k in sorted(params))
 
 
-def _coords_str(coords) -> list:
-    return [str(c) for c in coords]
+def _mismatch(coords, q, lhs, rhs) -> dict:
+    """A first discrepancy: weight coordinates (or None), q, both sides."""
+    return {"weight": None if coords is None else [str(c) for c in coords],
+            "q": q, "lhs": lhs, "rhs": rhs}
 
 
 def _discrepancy(rs, fd) -> dict:
     wt, q, lhs, rhs = fd
-    return {
-        "weight": _coords_str(rs.weight_fundamental_coords(wt)),
-        "q": "%d/%d" % (q.numerator, q.denominator),
-        "lhs": lhs,
-        "rhs": rhs,
-    }
+    return _mismatch(rs.weight_fundamental_coords(wt),
+                     "%d/%d" % (q.numerator, q.denominator), lhs, rhs)
 
 
 def _finite_discrepancy(rs, lhs: dict, rhs: dict) -> dict | None:
@@ -108,8 +92,7 @@ def _finite_discrepancy(rs, lhs: dict, rhs: dict) -> dict | None:
     for w in keys:
         a, b = lhs.get(w, 0), rhs.get(w, 0)
         if a != b:
-            return {"weight": _coords_str(rs.weight_fundamental_coords(w)),
-                    "q": None, "lhs": a, "rhs": b}
+            return _mismatch(rs.weight_fundamental_coords(w), None, a, b)
     return None
 
 
@@ -124,13 +107,14 @@ def _check_fks(rs, params):
     if key not in reps:
         raise ValueError("no minuscule representative for the given coset")
     om = reps[key]
+    cap = params["cap_orbit"]
     lhs = weyl_kac_character(rs, AffineDominantWeight(params["level"], rs.iota(om)),
-                             depth, cap_elements=params["cap_elements"])
-    rhs = lattice_character(LatticeCoset(rs, om), depth, cap=params["cap_orbit"])
+                             depth, cap=cap)
+    rhs = lattice_character(LatticeCoset(rs, om), depth, cap=cap)
     if params.get("dump"):
         base = str(params["dump"])
         for side, chi in (("lhs", lhs), ("rhs", rhs)):
-            with open("%s.%s.txt" % (base, side), "w", encoding="utf-8") as fh:
+            with _atomic_writer("%s.%s.txt" % (base, side)) as fh:
                 fh.write(chi.to_text())
     fd = first_discrepancy(lhs, rhs)
     flags = ["lhs:truncated", "rhs:truncated"]
@@ -152,8 +136,7 @@ def _check_borel_weil(rs, params):
     depth = params["depth"]
     k = params["level"]
     target = weyl_kac_character(rs, AffineDominantWeight(k, rs.iota(
-        rs.coweight_from_fundamental([0] * rs.rank))), depth,
-        cap_elements=params["cap_elements"])
+        rs.coweight_from_fundamental([0] * rs.rank))), depth, cap=params["cap_orbit"])
     theta = rs.highest_root_coroot
     prev = None
     for n in range(1, int(depth) + 4):
@@ -175,28 +158,23 @@ def _check_smooth_locus(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
     profile = smooth_locus_profile(rs, lam, params["level"])
     for mu, mult in sorted(profile.items(), key=lambda kv: kv[0].coords):
-        expected_one = (mu == lam)
-        if expected_one and mult != 1:
-            return "FAIL", {"weight": _coords_str(
-                rs.coweight_fundamental_coords(mu)), "q": None,
-                "lhs": mult, "rhs": 1}, []
-        if not expected_one and mult <= 1:
-            return "FAIL", {"weight": _coords_str(
-                rs.coweight_fundamental_coords(mu)), "q": None,
-                "lhs": mult, "rhs": 2}, []
+        want = 1 if mu == lam else 2  # exactly 1 at lam, at least 2 below it
+        if mult < want or (want == 1 and mult > 1):
+            return "FAIL", _mismatch(rs.coweight_fundamental_coords(mu), None,
+                                     mult, want), []
     return "PASS", None, []
 
 
 def _check_fixed_support(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
     supp = finite_support(demazure_character(rs, lam, params["level"]))
-    img = fixed_support_image(rs, lam)
+    img = fixed_support_image(rs, lam, params["cap_orbit"])
     if supp == img:
         return "PASS", None, []
     diff = sorted(supp ^ img, key=lambda w: w.coords)
     w = diff[0]
-    return "FAIL", {"weight": _coords_str(rs.weight_fundamental_coords(w)),
-                    "q": None, "lhs": int(w in supp), "rhs": int(w in img)}, []
+    return "FAIL", _mismatch(rs.weight_fundamental_coords(w), None,
+                             int(w in supp), int(w in img)), []
 
 
 def _check_minuscule(rs, params):
@@ -211,8 +189,8 @@ def _check_minuscule(rs, params):
         if not single_layer or actual != expected or dc.char.total() != len(orbit):
             fd = _finite_discrepancy(rs, actual, expected)
             if fd is None:
-                fd = {"weight": _coords_str(rs.coweight_fundamental_coords(om)),
-                      "q": None, "lhs": dc.char.total(), "rhs": len(orbit)}
+                fd = _mismatch(rs.coweight_fundamental_coords(om), None,
+                               dc.char.total(), len(orbit))
             return "FAIL", fd, []
     return "PASS", None, []
 
@@ -230,8 +208,7 @@ def _reflect_affine_coroot_r0(rs, ac: AffineCoroot) -> AffineCoroot:
 def _check_coroots(rs, params):
     a0 = affine_coroot(rs, AffineRoot(1, -rs.highest_root))
     if not (a0.k_coeff == 1 and a0.finite == -rs.highest_root_coroot):
-        return "FAIL", {"weight": _coords_str(a0.finite.coords), "q": None,
-                        "lhs": str(a0.k_coeff), "rhs": "1"}, []
+        return "FAIL", _mismatch(a0.finite.coords, None, str(a0.k_coeff), "1"), []
     roots = list(rs.positive_roots) + [-a for a in rs.positive_roots]
     for alpha in roots:
         for n in (0, 1, 2):
@@ -239,21 +216,19 @@ def _check_coroots(rs, params):
             ac = affine_coroot(rs, psi)
             want = 2 * Fraction(n) / rs.root_norm(alpha)
             if ac.k_coeff != want or ac.finite != rs.coroot_of(alpha):
-                return "FAIL", {"weight": _coords_str(alpha.coords), "q": None,
-                                "lhs": str(ac.k_coeff), "rhs": str(want)}, []
+                return "FAIL", _mismatch(alpha.coords, None, str(ac.k_coeff),
+                                         str(want)), []
             for i in range(1, rs.rank + 1):
                 lhs = affine_coroot(rs, AffineRoot(n, rs.reflect_weight(i, alpha)))
                 rhs = AffineCoroot(ac.k_coeff, rs.reflect_coweight(i, ac.finite))
                 if lhs != rhs:
-                    return "FAIL", {"weight": _coords_str(alpha.coords),
-                                    "q": None, "lhs": "node %d" % i,
-                                    "rhs": "equivariance"}, []
+                    return "FAIL", _mismatch(alpha.coords, None, "node %d" % i,
+                                             "equivariance"), []
             refl = _reflect_affine_root_r0(rs, psi)
             if not refl.finite.is_zero():
                 if affine_coroot(rs, refl) != _reflect_affine_coroot_r0(rs, ac):
-                    return "FAIL", {"weight": _coords_str(alpha.coords),
-                                    "q": None, "lhs": "node 0",
-                                    "rhs": "equivariance"}, []
+                    return "FAIL", _mismatch(alpha.coords, None, "node 0",
+                                             "equivariance"), []
     return "PASS", None, []
 
 
@@ -275,9 +250,8 @@ def _check_curves(rs, params):
             diff = a - b
             ok = ok and diff == (top - n) * rs.coroot_of(alpha)
             if not ok:
-                return "FAIL", {"weight": _coords_str(alpha.coords),
-                                "q": str(n), "lhs": str(cd.degree),
-                                "rhs": str(want)}, []
+                return "FAIL", _mismatch(alpha.coords, str(n), str(cd.degree),
+                                         str(want)), []
             n += 1
     return "PASS", None, []
 
@@ -287,44 +261,62 @@ def _check_domination(rs, params):
     mu = rs.coweight_from_fundamental(params["mu"])
     if restriction_domination_check(rs, lam, mu, params["level"]):
         return "PASS", None, []
-    return "FAIL", {"weight": None, "q": None, "lhs": 0, "rhs": 1}, []
+    return "FAIL", _mismatch(None, None, 0, 1), []
 
 
-_CHECKS = {
-    "fks": _check_fks,
-    "tensor": _check_tensor,
-    "borel-weil": _check_borel_weil,
-    "smooth-locus": _check_smooth_locus,
-    "fixed-support": _check_fixed_support,
-    "minuscule": _check_minuscule,
-    "coroots": _check_coroots,
-    "curves": _check_curves,
-    "domination": _check_domination,
+@dataclass(frozen=True)
+class Check:
+    """A named check: its runner, the identity it tests, the coweight
+    parameters it requires and, for a level-one identity, what makes it so."""
+
+    run: Callable
+    identity: str
+    coweights: tuple = ()
+    level_one: str | None = None
+
+
+CHECKS = {
+    "fks": Check(
+        _check_fks, "Frenkel-Kac-Segal: irreducible level-one character vs "
+        "lattice coset character", ("coset",),
+        "the lattice coset character it compares with has level one"),
+    "tensor": Check(
+        _check_tensor, "tensor factorization of Demazure characters under "
+        "addition of coweights", ("lam", "mu")),
+    "borel-weil": Check(
+        _check_borel_weil, "stabilization of Demazure characters to the "
+        "irreducible character"),
+    "smooth-locus": Check(
+        _check_smooth_locus, "multiplicity-one exactly on the extreme fixed "
+        "points", ("lam",),
+        "it reads multiplicities at the level-one weights iota(mu)"),
+    "fixed-support": Check(
+        _check_fixed_support, "finite support of the Demazure character vs "
+        "torus-fixed locus", ("lam",),
+        "it compares the support with iota of the fixed locus, the level-one "
+        "weights"),
+    "minuscule": Check(
+        _check_minuscule, "minuscule Schubert strata carry a single finite "
+        "irreducible layer"),
+    "coroots": Check(
+        _check_coroots, "affine coroot formula and its Weyl equivariance"),
+    "curves": Check(
+        _check_curves, "degrees and endpoints of invariant rational curves",
+        ("lam",)),
+    "domination": Check(
+        _check_domination, "coefficientwise domination under dominance order",
+        ("lam", "mu")),
 }
 
-
-# coweight parameters by the flag that sets them, and the ones each check reads
+# the flag that sets each coweight parameter, and every parameter name
 _COWEIGHT_FLAGS = {"lam": "--lambda", "mu": "--mu", "coset": "--coset"}
-_REQUIRED = {
-    "fks": ("coset",),
-    "tensor": ("lam", "mu"),
-    "smooth-locus": ("lam",),
-    "fixed-support": ("lam",),
-    "curves": ("lam",),
-    "domination": ("lam", "mu"),
-}
-# checks of a level-one identity, with what makes it level one
-_LEVEL_ONE = {
-    "fks": "the lattice coset character it compares with has level one",
-    "smooth-locus": "it reads multiplicities at the level-one weights iota(mu)",
-    "fixed-support": "it compares the support with iota of the fixed locus, "
-                     "the level-one weights",
-}
+_PARAMS = ("type", "rank", "lam", "mu", "coset", "level", "depth", "cap_orbit",
+           "dump")
 
 
-def _validate(check_name: str, params: dict):
+def _validate(check: Check, check_name: str, params: dict):
     """Reject inputs a check cannot answer; every message names the flag."""
-    for key in _REQUIRED.get(check_name, ()):
+    for key in check.coweights:
         flag = _COWEIGHT_FLAGS[key]
         if params.get(key) is None:
             raise ValueError("%s requires %s" % (check_name, flag))
@@ -337,33 +329,36 @@ def _validate(check_name: str, params: dict):
     if params["level"] < 1:
         raise ValueError("--level must be a positive integer, got %r"
                          % (params["level"],))
-    if check_name in _LEVEL_ONE and params["level"] != 1:
+    if check.level_one is not None and params["level"] != 1:
         raise ValueError("--level must be 1 for %s: %s"
-                         % (check_name, _LEVEL_ONE[check_name]))
-    for name in ("cap_orbit", "cap_elements"):
-        if params[name] < 1:
-            raise ValueError("--%s must be a positive integer, got %r"
-                             % (name.replace("_", "-"), params[name]))
+                         % (check_name, check.level_one))
+    if params["cap_orbit"] < 1:
+        raise ValueError("--cap-orbit must be a positive integer, got %r"
+                         % (params["cap_orbit"],))
 
 
 def run_verification(check_name: str, params: dict) -> VerificationReport:
     """Run one named check; deterministic report, PASS/FAIL/SKIPPED status.
-    Raises ValueError for inputs the check cannot answer."""
-    if check_name not in _CHECKS:
+    Raises ValueError for inputs the check cannot answer and for parameter
+    names outside ``_PARAMS``."""
+    check = CHECKS.get(check_name)
+    if check is None:
         raise ValueError("unknown check %r; available: %s"
-                         % (check_name, ", ".join(sorted(_CHECKS))))
+                         % (check_name, ", ".join(sorted(CHECKS))))
+    unknown = sorted(set(params) - set(_PARAMS))
+    if unknown:
+        raise ValueError("unknown parameter %r; known: %s"
+                         % (unknown[0], ", ".join(_PARAMS)))
     params = dict(params)
     params.setdefault("level", 1)
     params.setdefault("depth", 6)
     if params.get("cap_orbit") is None:
-        params["cap_orbit"] = _env_cap("CAP_ORBIT", DEFAULT_ORBIT_CAP)
-    if params.get("cap_elements") is None:
-        params["cap_elements"] = _env_cap("CAP_ELEMENTS", DEFAULT_ELEMENT_CAP)
+        params["cap_orbit"] = _env_cap()
     rs = build_root_system(params["type"], params["rank"])
-    _validate(check_name, params)
+    _validate(check, check_name, params)
     t0 = time.monotonic()
     try:
-        status, fd, flags = _CHECKS[check_name](rs, params)
+        status, fd, flags = check.run(rs, params)
         reason = None
     except OrbitCapExceeded as exc:
         status, fd, flags, reason = "SKIPPED", None, [], str(exc)
@@ -391,17 +386,18 @@ def _public_params(params: dict) -> dict:
     return out
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
+def _env_cap() -> int:
+    """The cap AFFCHAR_CAP_ORBIT sets, DEFAULT_ORBIT_CAP when it is unset."""
+    raw = os.environ.get("AFFCHAR_CAP_ORBIT")
     if raw is None:
-        return default
+        return DEFAULT_ORBIT_CAP
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError("%s%s must be a positive integer, got %r"
-                         % (ENV_PREFIX, name, raw))
+        raise ValueError("AFFCHAR_CAP_ORBIT must be a positive integer, got %r"
+                         % (raw,))
     return value
 
 
@@ -424,10 +420,11 @@ def _atomic_writer(path):
     """Text handle on a fresh temporary file beside ``path``, renamed onto it
     when the block succeeds, so concurrent writers never share a temporary
     name.  It is made on entry, so a bad directory fails before any work, and
-    a failed file operation names ``path``, not the temporary file."""
+    a failed file operation names ``path``, not the temporary file.  It gets
+    the mode a plain ``open`` gives, 0666 less the umask."""
+    tmp = "%s.%s.tmp" % (os.path.abspath(path), os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
@@ -555,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="affchar",
         description="verify character identities for affine Kac-Moody modules")
-    p.add_argument("check", nargs="?", choices=sorted(_CHECKS),
+    p.add_argument("check", nargs="?", choices=sorted(CHECKS),
                    help="named check to run")
     p.add_argument("--all-checks", action="store_true",
                    help="run the whole identity battery with expected outcomes")
@@ -569,12 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_coords, default=None)
     p.add_argument("--coset", type=_coords, default=None,
                    help="fundamental-coweight coefficients of a coset representative")
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--depth", type=Fraction, default=Fraction(6))
+    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--depth", type=Fraction, default=None)
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.add_argument("--cap-orbit", type=int, default=None)
-    p.add_argument("--cap-elements", type=int, default=None)
+    p.add_argument("--cap-orbit", type=int, default=None,
+                   help="bound on every Weyl-orbit and lattice-point walk")
     p.add_argument("--dump", default=None,
                    help="basename for golden character files (fks check)")
     return p
@@ -599,20 +596,10 @@ def main(argv=None) -> int:
         print("error: --type and --rank are required for single checks",
               file=sys.stderr)
         return 2
-    params = {"type": args.type_label.upper(), "rank": args.rank,
-              "level": args.level, "depth": args.depth}
-    if args.lam is not None:
-        params["lam"] = args.lam
-    if args.mu is not None:
-        params["mu"] = args.mu
-    if args.coset is not None:
-        params["coset"] = args.coset
-    if args.cap_orbit is not None:
-        params["cap_orbit"] = args.cap_orbit
-    if args.cap_elements is not None:
-        params["cap_elements"] = args.cap_elements
-    if args.dump is not None:
-        params["dump"] = args.dump
+    params = {"type": args.type_label.upper(), "rank": args.rank}
+    for key in _PARAMS[2:]:  # the optional parameters, each a flag's dest
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     try:
         report = run_verification(args.check, params)
         payload = emit_report(report, args.fmt, args.out)

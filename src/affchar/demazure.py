@@ -16,7 +16,7 @@ from fractions import Fraction
 from .affine import (AffineWeight, dominant_coweights_below, fixed_point_support,
                      fixed_point_weight, node_table)
 from .charring import QCharacter, _qnum
-from .rootsys import Coweight, RootSystem
+from .rootsys import DEFAULT_ORBIT_CAP, Coweight, RootSystem
 
 _RAISING_CAP = 10**6
 
@@ -112,9 +112,10 @@ def restriction_domination_check(rs: RootSystem, lam: Coweight, mu: Coweight,
     return all(big.get(w, 0) >= c for w, c in small.items())
 
 
-def fixed_support_image(rs: RootSystem, lam: Coweight) -> frozenset:
+def fixed_support_image(rs: RootSystem, lam: Coweight,
+                        cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
     """Image under iota of the torus-fixed support of the Schubert closure."""
-    return frozenset(rs.iota(c) for c in fixed_point_support(rs, lam))
+    return frozenset(rs.iota(c) for c in fixed_point_support(rs, lam, cap))
 
 
 def smooth_locus_profile(rs: RootSystem, lam: Coweight, k: int = 1) -> dict:
@@ -133,6 +134,6 @@ def boundary_dimension_check(rs: RootSystem, i: int) -> bool:
         raise ValueError("the boundary check applies to D-type nodes 3..rank-2")
     om = rs.fundamental_coweight(i)
     total = demazure_character(rs, om, 1).char.total()
-    top = rs.weyl_dimension(rs.iota(om))
+    top = sum(rs.irreducible_keys(rs.weight_key(rs.iota(om))).values())
     below = demazure_character(rs, rs.fundamental_coweight(i - 2), 1).char.total()
     return total == top + below

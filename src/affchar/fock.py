@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charring import QCharacter
-from .rootsys import Coweight, RootSystem
-
-DEFAULT_POINT_CAP = 10**6
+from .rootsys import DEFAULT_ORBIT_CAP, Coweight, RootSystem
 
 
 def multipartition_counts(colors: int, depth: int) -> list:
@@ -48,14 +46,14 @@ class LatticeCoset:
 
 
 def minimal_coset_norm_half(rs: RootSystem, shift: Coweight,
-                            cap: int = DEFAULT_POINT_CAP) -> Fraction:
+                            cap: int = DEFAULT_ORBIT_CAP) -> Fraction:
     """min (x,x)/2 over the coset; the shift itself bounds the search."""
     b0 = rs.coform(shift, shift) / 2
     return min(norm for _, norm in rs.lattice_points(shift, b0, cap)) / 2
 
 
 def lattice_character(coset: LatticeCoset, depth,
-                      cap: int = DEFAULT_POINT_CAP) -> QCharacter:
+                      cap: int = DEFAULT_ORBIT_CAP) -> QCharacter:
     """Level-one character of the coset module: the sum of Fock towers over all
     coset points, normalized so the minimal q-exponent is 0 and complete
     through (normalized) depth ``depth``.

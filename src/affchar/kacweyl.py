@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charring import QCharacter
-from .rootsys import RootSystem, Weight, coweight
-
-DEFAULT_ELEMENT_CAP = 2 * 10**6
+from .rootsys import DEFAULT_ORBIT_CAP, RootSystem, Weight, coweight
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,11 @@ def _sqrt_ceil(x) -> int:
 
 
 def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
-                       cap_elements: int = DEFAULT_ELEMENT_CAP) -> QCharacter:
+                       cap: int = DEFAULT_ORBIT_CAP) -> QCharacter:
     """Character of the irreducible integrable module with highest weight
-    level*Lambda + finite, complete through integer q-depth ``depth``;
-    ``cap_elements`` bounds the candidate coordinate values the coroot-lattice
-    enumerator ``RootSystem.lattice_points`` scans."""
+    level*Lambda + finite, complete through integer q-depth ``depth``; ``cap``
+    bounds the candidate coordinate values the coroot-lattice enumerator
+    ``RootSystem.lattice_points`` scans."""
     hw.validate(rs)
     depth = Fraction(depth)
     if depth < 0:
@@ -106,8 +104,8 @@ def weyl_kac_character(rs: RootSystem, hw: AffineDominantWeight, depth,
     hv = rs.dual_coxeter
     rho = rs.rho_weight
     rho_key = rs.weight_key(rho)
-    numJ = _alternating_layers(rs, k + hv, hw.finite + rho, n, cap_elements)
-    denJ = _alternating_layers(rs, hv, rho, n, cap_elements)
+    numJ = _alternating_layers(rs, k + hv, hw.finite + rho, n, cap)
+    denJ = _alternating_layers(rs, hv, rho, n, cap)
     if denJ[0] != {rho_key: 1}:
         raise ArithmeticError("denominator identity failed at q^0")
     layers = []

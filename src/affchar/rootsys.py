@@ -587,16 +587,6 @@ class RootSystem:
         mults = self.irreducible_keys(self.weight_key(nu))
         return {self.key_weight(key): m for key, m in mults.items()}
 
-    def weyl_dimension(self, nu: Weight) -> int:
-        """Dimension of the irreducible with highest weight nu (product formula)."""
-        rho = self.rho_weight
-        num = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= self.form(nu + rho, alpha) / self.form(rho, alpha)
-        if num.denominator != 1:
-            raise ArithmeticError("Weyl dimension formula gave a non-integer")
-        return int(num)
-
 
 @lru_cache(maxsize=None)
 def _build_cached(type_label: str, rank: int) -> RootSystem:

@@ -9,8 +9,9 @@ import pytest
 
 from affchar.affine import AffineWeight, fixed_point_weight
 from affchar.charring import QCharacter
-from affchar.fock import DEFAULT_POINT_CAP, multipartition_counts
-from affchar.rootsys import Coweight, Weight, build_root_system, coweight
+from affchar.fock import multipartition_counts
+from affchar.rootsys import (DEFAULT_ORBIT_CAP, Coweight, Weight, build_root_system,
+                             coweight)
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]
 
@@ -59,12 +60,23 @@ def fock_character(rs, lam, k, depth):
     return QCharacter(rs, k, terms, depth=depth, truncated=True)
 
 
-def coset_points_up_to(rs, shift, bound, cap=DEFAULT_POINT_CAP):
+def coset_points_up_to(rs, shift, bound, cap=DEFAULT_ORBIT_CAP):
     """All lattice points shift + (coroot lattice) with (x,x)/2 <= bound, in
     coordinate order; a Coweight view of ``RootSystem.lattice_points``."""
     return sorted((Coweight(tuple(Fraction(c) for c in coords))
                    for coords, _ in rs.lattice_points(shift, bound, cap)),
                   key=lambda c: c.coords)
+
+
+def weyl_dimension(rs, nu):
+    """Dimension of the irreducible with highest weight nu (product formula)."""
+    rho = rs.rho_weight
+    num = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= rs.form(nu + rho, alpha) / rs.form(rho, alpha)
+    if num.denominator != 1:
+        raise ArithmeticError("Weyl dimension formula gave a non-integer")
+    return int(num)
 
 
 def weyl_character_oracle(rs, nu):

@@ -187,6 +187,13 @@ def test_weyl_invariance_examples():
     assert emb.is_weyl_invariant()
 
 
+def test_weyl_invariance_off_the_weight_lattice():
+    # key (1, 0) is (1/3, 0) in simple-root coordinates: no weight of A2
+    rs = build_root_system("A", 2)
+    chi = QCharacter._raw(rs, 0, {(0, 1, 0): 1}, None, False)
+    assert chi.is_weyl_invariant() is False
+
+
 # -- serialization -----------------------------------------------------------------
 
 

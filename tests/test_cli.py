@@ -1,13 +1,15 @@
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 from affchar import cli
-from affchar.cli import (VerificationReport, build_parser, emit_report, main,
-                         identity_check_suite, run_all_checks,
+from affchar.cli import (CHECKS, VerificationReport, build_parser, emit_report,
+                         main, identity_check_suite, run_all_checks,
                          run_verification)
 
 
@@ -48,7 +50,7 @@ def test_unknown_check_rejected():
 
 def test_skipped_on_tiny_cap():
     rep = run_verification("fks", {"type": "D", "rank": 4, "coset": [0, 0, 0, 0],
-                                   "depth": 6, "cap_elements": 10})
+                                   "depth": 6, "cap_orbit": 10})
     assert rep.status == "SKIPPED"
     assert rep.skip_reason
 
@@ -69,6 +71,20 @@ def test_emit_report_writes_file(tmp_path):
     assert path.read_text(encoding="utf-8") == payload
     with pytest.raises(ValueError):
         emit_report(rep, "yaml")
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    # like a plain open(): mode 0666 less the umask, not mkstemp's 0600
+    rep = run_verification("coroots", {"type": "A", "rank": 2})
+    old = os.umask(0o022)
+    try:
+        emit_report(rep, "json", tmp_path / "r.json")
+        main(["fks", "--type", "A", "--rank", "1", "--coset", "0", "--depth", "2",
+              "--dump", str(tmp_path / "d")])
+    finally:
+        os.umask(old)
+    assert sorted(stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()) == [
+        0o644] * 3
 
 
 def test_report_writes_leave_a_foreign_tmp_file_alone(tmp_path, monkeypatch):
@@ -168,11 +184,11 @@ def test_suite_has_expected_negative_controls():
 
 
 def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("AFFCHAR_CAP_ELEMENTS", "10")
+    monkeypatch.setenv("AFFCHAR_CAP_ORBIT", "10")
     rep = run_verification("fks", {"type": "D", "rank": 4,
                                    "coset": [0, 0, 0, 0], "depth": 6})
     assert rep.status == "SKIPPED"
-    monkeypatch.delenv("AFFCHAR_CAP_ELEMENTS")
+    monkeypatch.delenv("AFFCHAR_CAP_ORBIT")
 
 
 def test_fks_dump_golden_files(tmp_path):
@@ -188,6 +204,9 @@ def test_fks_dump_golden_files(tmp_path):
     rhs = QCharacter.from_text(rs, 1, (tmp_path / "a1c0.rhs.txt").read_text(),
                                depth=3, truncated=True)
     assert chars_agree(lhs, rhs)
+    # both files go through the atomic writer, which leaves no temporary file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a1c0.lhs.txt",
+                                                          "a1c0.rhs.txt"]
 
 
 def test_parser_round_trip():
@@ -208,7 +227,7 @@ def test_parser_round_trip():
     (["domination", "--mu", "0"], "--lambda"),
     (["smooth-locus"], "--lambda"),
     (["coroots", "--cap-orbit", "0"], "--cap-orbit"),
-    (["fks", "--coset", "0", "--cap-elements", "-3"], "--cap-elements"),
+    (["fks", "--coset", "0", "--cap-orbit", "-3"], "--cap-orbit"),
     (["smooth-locus", "--lambda", "2", "--level", "2"], "--level"),
     (["fixed-support", "--lambda", "2", "--level", "2"], "--level"),
     (["minuscule", "--level", "0"], "--level"),
@@ -223,10 +242,47 @@ def test_bad_input_exits_2_naming_the_flag(argv, flag, capsys):
     assert err.startswith("error: ") and flag in err
 
 
-@pytest.mark.parametrize("name", ["AFFCHAR_CAP_ORBIT", "AFFCHAR_CAP_ELEMENTS"])
+@pytest.mark.parametrize("name", ["AFFCHAR_CAP_ORBIT"])
 @pytest.mark.parametrize("value", ["0", "-4", "many"])
 def test_bad_env_cap_exits_2(monkeypatch, capsys, name, value):
     monkeypatch.setenv(name, value)
     assert main(["fks", "--type", "A", "--rank", "1", "--coset", "0",
                  "--depth", "2"]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_fixed_support_honours_cap_orbit(capsys):
+    # the fixed-point support walks Weyl orbits under the one cap
+    assert main(["fixed-support", "--type", "A", "--rank", "2", "--lambda", "2,2",
+                 "--cap-orbit", "2"]) == 1
+    assert "status=SKIPPED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["cap_elements", "lamda"])
+def test_unknown_parameter_rejected(name):
+    params = {"type": "A", "rank": 1, "lam": [2], name: 10}
+    with pytest.raises(ValueError, match=name):
+        run_verification("curves", params)
+
+
+def test_check_table_is_consistent(capsys):
+    # every battery check and parser choice has a record, every required
+    # coweight has a flag, and every level-one check rejects --level 2
+    parser = build_parser()
+    flags = {s for a in parser._actions for s in a.option_strings}
+    choices = next(a.choices for a in parser._actions if a.dest == "check")
+    suite = identity_check_suite(depth=2, heavy=True)
+    assert {c for c, _, _ in suite} | set(choices) <= set(CHECKS)
+    for name, check in CHECKS.items():
+        assert all(cli._COWEIGHT_FLAGS[key] in flags for key in check.coweights)
+        if check.level_one is None:
+            continue
+        argv = [name, "--type", "A", "--rank", "1", "--level", "2"]
+        for key in check.coweights:
+            argv += [cli._COWEIGHT_FLAGS[key], "1"]
+        assert main(argv) == 2
+        assert "--level" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fks", "--type", "A", "--rank", "1", "--coset", "0",
+              "--cap-elements", "10"])
+    assert exc.value.code == 2

@@ -4,10 +4,10 @@ import pytest
 
 from affchar.charring import first_discrepancy
 from affchar.fock import LatticeCoset, lattice_character
-from affchar.kacweyl import (DEFAULT_ELEMENT_CAP, AffineDominantWeight,
-                             _alternating_layers, weyl_kac_character)
-from affchar.rootsys import (OrbitCapExceeded, RootSystem, build_root_system,
-                             coweight, weight)
+from affchar.kacweyl import (AffineDominantWeight, _alternating_layers,
+                             weyl_kac_character)
+from affchar.rootsys import (DEFAULT_ORBIT_CAP, OrbitCapExceeded, RootSystem,
+                             build_root_system, coweight, weight)
 from conftest import SMALL_TYPES, alternating_layers_oracle
 
 
@@ -64,7 +64,7 @@ def test_element_cap_raises():
     rs = build_root_system("D", 4)
     with pytest.raises(OrbitCapExceeded):
         weyl_kac_character(rs, AffineDominantWeight(1, weight([0] * 4)), 8,
-                           cap_elements=50)
+                           cap=50)
 
 
 def test_coset_supports_disjoint_mod_root_lattice():
@@ -117,7 +117,7 @@ def test_translation_layers_match_weyl_group_oracle(t, l, depth, level):
         if rs.pair(rs.highest_root_coroot, nu) <= level:
             cases.append((level + hv, nu + rho))
     for khat, shifted in cases:
-        got = _alternating_layers(rs, khat, shifted, depth, DEFAULT_ELEMENT_CAP)
+        got = _alternating_layers(rs, khat, shifted, depth, DEFAULT_ORBIT_CAP)
         assert got == alternating_layers_oracle(rs, khat, shifted, depth)
 
 

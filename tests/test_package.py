@@ -50,6 +50,10 @@ REMOVED_NAMES = [
     "demazure_op", "effective_depth", "fock_character", "coset_points_up_to",
     "finite_multiplicity", "node_pairing", "reflect_affine_weight", "_node_data",
     "demazure_character_from_word", "in_coroot_lattice", "simple_pairing",
+    "CHECK_IDENTITY", "_CHECKS", "_REQUIRED", "_LEVEL_ONE", "weyl_dimension",
+    # one cap, --cap-orbit, bounds every walk
+    "cap_elements", "cap-elements", "CAP_ELEMENTS", "AFFCHAR_CAP_ELEMENTS",
+    "DEFAULT_ELEMENT_CAP", "DEFAULT_POINT_CAP", "ENV_PREFIX",
 ]
 
 
