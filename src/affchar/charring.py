@@ -12,10 +12,11 @@ flag is sticky through arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .affine import node_table
-from .rootsys import RootSystem, Weight
+from .affine import packing
+from .rootsys import OrbitCapExceeded, RootSystem, Weight
 
 
 class TruncatedCharacterError(ValueError):
@@ -183,43 +184,71 @@ class QCharacter:
 
     # -- Demazure operators --------------------------------------------------
 
-    def demazure(self, i: int) -> "QCharacter":
-        """Isobaric divided-difference operator for node i (0 = affine node).
+    def demazure(self, *word, cap=None) -> "QCharacter":
+        """Isobaric divided-difference operators of the nodes of ``word``
+        (0 = affine node), the first node applied first.
 
-        On a term of pairing m this is the q-weighted string sum: the full
-        string down to the reflected weight for m >= 0, zero for m = -1, and
-        minus the interior of the upward string for m <= -2.
+        On a term of pairing m node i writes the q-weighted string sum: the
+        full string down to the reflected weight for m >= 0, nothing for
+        m = -1, and minus the interior of the upward string for m <= -2.
+        The terms are packed once (``affine.Packing``), every string is an
+        int range, and zeros and terms beyond the depth are dropped after
+        each node.  Raises ValueError for a weight off the weight lattice and
+        OrbitCapExceeded when more than ``cap`` terms are kept after a node.
+
+        No field wraps: with every field of magnitude at most ``bound``, a
+        node of step reach r writes fields f + t*s with |f| <= bound,
+        |s| <= r and |t| <= |m| <= bound + |level|, so before each node
+        (r+1)*bound + r*|level| must stay below 2**(width-1), and the terms
+        are packed again at a larger width when it would not; after the
+        node the bound grows by r times the largest |m| met.
         """
-        if not 0 <= i <= self.rs.rank:
-            raise ValueError("node index %d out of range" % i)
-        node = node_table(self.rs)[i]
-        step, level = node.step, self.level
-        out = {}
-        for key, c in self._terms.items():
-            m = node.pairing(key, level)
-            if m >= 0:
-                rng = range(0, m + 1)
-                sign = 1
-            elif m == -1:
-                continue
-            else:
-                rng = range(-1, m, -1)
-                sign = -1
-            for j in rng:
-                k2 = tuple(a + j * d for a, d in zip(key, step))
-                nv = out.get(k2, 0) + sign * c
-                if nv:
-                    out[k2] = nv
-                elif k2 in out:
-                    del out[k2]
-        dropped = False
-        if self.depth is not None:
-            bound = self.depth * self.rs.q_denominator
-            before = len(out)
-            out = {k: v for k, v in out.items() if k[0] <= bound}
-            dropped = len(out) < before
-        return QCharacter._raw(self.rs, self.level, out, self.depth,
-                               self.truncated or dropped)
+        rs, level = self.rs, self.level
+        for i in word:
+            if not 0 <= i <= rs.rank:
+                raise ValueError("node index %d out of range" % i)
+        pk = packing(rs)
+        terms, width, bound = pk.pack(self._terms, level)
+        steps = pk.steps(width)
+        # q <= depth*qden exactly when key < (floor(depth*qden) + 1) << qshift
+        qtop = (None if self.depth is None
+                else math.floor(self.depth * rs.q_denominator) + 1)
+        truncated = self.truncated
+        for i in word:
+            reach, lvl = pk.reach[i], pk.nodes[i].level_coeff * level
+            if (reach + 1) * bound + reach * abs(lvl) >= 1 << (width - 1):
+                terms, width, bound = pk.pack(pk.unpack(terms, width), level)
+                steps = pk.steps(width)
+            shift, mask = i * width, (1 << width) - 1
+            offset = (1 << (width - 1)) - lvl
+            step = steps[i]
+            out = {}
+            get = out.get
+            hi = lo = 0
+            for key, c in terms.items():
+                m = ((key >> shift) & mask) - offset
+                if m >= 0:
+                    if m > hi:
+                        hi = m
+                    for k2 in range(key, key + (m + 1) * step, step):
+                        out[k2] = get(k2, 0) + c
+                elif m < -1:
+                    if m < lo:
+                        lo = m
+                    for k2 in range(key - step, key + m * step, -step):
+                        out[k2] = get(k2, 0) - c
+            bound += reach * max(hi, -lo)
+            terms = {k: v for k, v in out.items() if v}
+            if qtop is not None:
+                limit = qtop << (len(pk.nodes) * width)
+                kept = {k: v for k, v in terms.items() if k < limit}
+                truncated = truncated or len(kept) < len(terms)
+                terms = kept
+            if cap is not None and len(terms) > cap:
+                raise OrbitCapExceeded(
+                    "Demazure character exceeds cap of %d terms" % cap)
+        return QCharacter._raw(rs, level, pk.unpack(terms, width), self.depth,
+                               truncated)
 
     # -- specialization and symmetry ------------------------------------------
 

@@ -126,7 +126,7 @@ def _check_fks(rs, params):
 def _check_tensor(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
     mu = rs.coweight_from_fundamental(params["mu"])
-    res = tensor_product_check(rs, lam, mu, params["level"])
+    res = tensor_product_check(rs, lam, mu, params["level"], params["cap_orbit"])
     if res.holds:
         return "PASS", None, []
     return "FAIL", _finite_discrepancy(rs, res.lhs, res.rhs), []
@@ -140,7 +140,7 @@ def _check_borel_weil(rs, params):
     theta = rs.highest_root_coroot
     prev = None
     for n in range(1, int(depth) + 4):
-        dc = demazure_character(rs, n * theta, k)
+        dc = demazure_character(rs, n * theta, k, cap=params["cap_orbit"])
         cur = dc.char.truncate(depth)
         if prev is not None:
             for wt, q, c in prev.terms():
@@ -156,7 +156,7 @@ def _check_borel_weil(rs, params):
 
 def _check_smooth_locus(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
-    profile = smooth_locus_profile(rs, lam, params["level"])
+    profile = smooth_locus_profile(rs, lam, params["level"], params["cap_orbit"])
     for mu, mult in sorted(profile.items(), key=lambda kv: kv[0].coords):
         want = 1 if mu == lam else 2  # exactly 1 at lam, at least 2 below it
         if mult < want or (want == 1 and mult > 1):
@@ -167,7 +167,8 @@ def _check_smooth_locus(rs, params):
 
 def _check_fixed_support(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
-    supp = finite_support(demazure_character(rs, lam, params["level"]))
+    supp = finite_support(demazure_character(rs, lam, params["level"],
+                                             cap=params["cap_orbit"]))
     img = fixed_support_image(rs, lam, params["cap_orbit"])
     if supp == img:
         return "PASS", None, []
@@ -181,7 +182,7 @@ def _check_minuscule(rs, params):
     for key, om in sorted(rs.minuscule_reps().items()):
         if om.is_zero():
             continue
-        dc = demazure_character(rs, om, 1)
+        dc = demazure_character(rs, om, 1, cap=params["cap_orbit"])
         single_layer = dc.char.max_q() == 0
         expected = rs.finite_weyl_character(rs.iota(om))
         actual = dc.char.layer(Fraction(0))
@@ -259,7 +260,8 @@ def _check_curves(rs, params):
 def _check_domination(rs, params):
     lam = rs.coweight_from_fundamental(params["lam"])
     mu = rs.coweight_from_fundamental(params["mu"])
-    if restriction_domination_check(rs, lam, mu, params["level"]):
+    if restriction_domination_check(rs, lam, mu, params["level"],
+                                    params["cap_orbit"]):
         return "PASS", None, []
     return "FAIL", _mismatch(None, None, 0, 1), []
 
@@ -571,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--cap-orbit", type=int, default=None,
-                   help="bound on every Weyl-orbit and lattice-point walk")
+                   help="bound on every Weyl-orbit, lattice-point and Demazure walk")
     p.add_argument("--dump", default=None,
                    help="basename for golden character files (fks check)")
     return p

@@ -16,9 +16,7 @@ from fractions import Fraction
 from .affine import (AffineWeight, dominant_coweights_below, fixed_point_support,
                      fixed_point_weight, node_table)
 from .charring import QCharacter, _qnum
-from .rootsys import DEFAULT_ORBIT_CAP, Coweight, RootSystem
-
-_RAISING_CAP = 10**6
+from .rootsys import DEFAULT_ORBIT_CAP, Coweight, OrbitCapExceeded, RootSystem
 
 
 @dataclass(frozen=True)
@@ -30,12 +28,14 @@ class DemazureCharacter:
     word: tuple
 
 
-def demazure_character(rs: RootSystem, lam: Coweight, k: int,
-                       depth=None) -> DemazureCharacter:
+def demazure_character(rs: RootSystem, lam: Coweight, k: int, depth=None,
+                       cap: int = DEFAULT_ORBIT_CAP) -> DemazureCharacter:
     """Character of the level-k affine Demazure module attached to dominant lam.
 
     ``depth`` only guards runaway inputs; the module is finite-dimensional and
-    is computed in full by default.
+    is computed in full by default.  Raises OrbitCapExceeded when the weight
+    raising takes more than ``cap`` steps or more than ``cap`` terms are kept
+    after a node.
     """
     if k < 1:
         raise ValueError("level must be a positive integer, got %r" % (k,))
@@ -48,7 +48,7 @@ def demazure_character(rs: RootSystem, lam: Coweight, k: int,
     key = (_qnum(rs, -mu.delta_deg),) + rs.weight_key(mu.finite)
     nodes = node_table(rs)
     recorded = []
-    for _ in range(_RAISING_CAP):
+    for _ in range(cap + 1):
         for i, node in enumerate(nodes):
             m = node.pairing(key, k)
             if m < 0:
@@ -59,13 +59,12 @@ def demazure_character(rs: RootSystem, lam: Coweight, k: int,
         else:
             break
     else:
-        raise RuntimeError("weight raising did not terminate")
+        raise OrbitCapExceeded("weight raising exceeds cap of %d steps" % cap)
     word = tuple(reversed(recorded))
     base = AffineWeight(k, rs.key_weight(key[1:]),
                         -Fraction(key[0], rs.q_denominator))
     chi = QCharacter(rs, k, [(base.finite, -base.delta_deg, 1)], depth=depth)
-    for i in word:
-        chi = chi.demazure(i)
+    chi = chi.demazure(*word, cap=cap)
     # report the section-space side: finite support is then the iota-image of
     # the fixed locus and the q^0 layer is the irreducible of highest weight
     # k * (minuscule weight of the coset of lam)
@@ -89,26 +88,26 @@ class TensorCheck:
     rhs: dict
 
 
-def tensor_product_check(rs: RootSystem, lam: Coweight, mu: Coweight,
-                         k: int) -> TensorCheck:
+def tensor_product_check(rs: RootSystem, lam: Coweight, mu: Coweight, k: int,
+                         cap: int = DEFAULT_ORBIT_CAP) -> TensorCheck:
     """Compare the finite character of the module for lam+mu with the product
     of the finite characters for lam and mu."""
-    both = demazure_character(rs, lam + mu, k)
-    a = demazure_character(rs, lam, k)
-    b = demazure_character(rs, mu, k)
+    both = demazure_character(rs, lam + mu, k, cap=cap)
+    a = demazure_character(rs, lam, k, cap=cap)
+    b = demazure_character(rs, mu, k, cap=cap)
     lhs = both.char.specialize_q1()
     rhs = a.char.at_q1().mul(b.char.at_q1()).specialize_q1()
     return TensorCheck(lhs == rhs, lhs, rhs)
 
 
 def restriction_domination_check(rs: RootSystem, lam: Coweight, mu: Coweight,
-                                 k: int) -> bool:
+                                 k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """True iff the finite character for mu is dominated coefficientwise by the
     one for lam; requires mu <= lam in dominance order."""
     if not rs.dominance_leq(mu, lam):
         raise ValueError("mu must be dominance-below lam")
-    big = demazure_character(rs, lam, k).char.specialize_q1()
-    small = demazure_character(rs, mu, k).char.specialize_q1()
+    big = demazure_character(rs, lam, k, cap=cap).char.specialize_q1()
+    small = demazure_character(rs, mu, k, cap=cap).char.specialize_q1()
     return all(big.get(w, 0) >= c for w, c in small.items())
 
 
@@ -118,11 +117,13 @@ def fixed_support_image(rs: RootSystem, lam: Coweight,
     return frozenset(rs.iota(c) for c in fixed_point_support(rs, lam, cap))
 
 
-def smooth_locus_profile(rs: RootSystem, lam: Coweight, k: int = 1) -> dict:
+def smooth_locus_profile(rs: RootSystem, lam: Coweight, k: int = 1,
+                         cap: int = DEFAULT_ORBIT_CAP) -> dict:
     """Multiplicity of each dominant mu <= lam in the level-k module for lam,
     read at the weight iota(mu); multiplicity 1 marks the open stratum."""
-    q1 = demazure_character(rs, lam, k).char.specialize_q1()
-    return {mu: q1.get(rs.iota(mu), 0) for mu in dominant_coweights_below(rs, lam)}
+    q1 = demazure_character(rs, lam, k, cap=cap).char.specialize_q1()
+    return {mu: q1.get(rs.iota(mu), 0)
+            for mu in dominant_coweights_below(rs, lam, cap)}
 
 
 def boundary_dimension_check(rs: RootSystem, i: int) -> bool:

@@ -569,8 +569,7 @@ class RootSystem:
         if mults is None:
             from .charring import QCharacter
             chi = QCharacter._raw(self, 0, {(0,) + tuple(nu_key): 1}, None, False)
-            for i in reversed(self.longest_word):
-                chi = chi.demazure(i)
+            chi = chi.demazure(*reversed(self.longest_word))
             mults = {key[1:]: m for key, m in chi._terms.items()}
             self._irrep_cache[nu_key] = mults
         return mults

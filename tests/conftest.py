@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from affchar.affine import AffineWeight, fixed_point_weight
+from affchar.affine import AffineWeight, fixed_point_weight, node_table
 from affchar.charring import QCharacter
 from affchar.fock import multipartition_counts
 from affchar.rootsys import (DEFAULT_ORBIT_CAP, Coweight, Weight, build_root_system,
@@ -262,11 +262,63 @@ def demazure_character_from_word(rs, lam, k, word):
         mu = reflect_affine_weight(rs, i, mu)
     if any(node_pairing(rs, mu, i) < 0 for i in range(rs.rank + 1)):
         raise ValueError("word does not raise the extreme weight to dominance")
-    chi = QCharacter(rs, k, [(mu.finite, -mu.delta_deg, 1)])
-    for i in word:
-        chi = chi.demazure(i)
+    chi = QCharacter(rs, k, [(mu.finite, -mu.delta_deg, 1)]).demazure(*word)
     # section-space side, as demazure_character reports it
     return QCharacter(rs, k, [(-w, q, c) for w, q, c in chi.normalized().terms()])
+
+
+def demazure_reference(chi, i):
+    """Reference isobaric operator of node i on tuple keys, one node per
+    call: every term's string is built key by key from the node table's
+    pairing and step, independent of the packed kernel of
+    ``QCharacter.demazure``.  On a term of pairing m it writes the full string
+    down to the reflected weight for m >= 0, nothing for m = -1 and minus the
+    interior of the upward string for m <= -2; zeros are dropped as they
+    arise and terms beyond the depth after the node."""
+    rs = chi.rs
+    if not 0 <= i <= rs.rank:
+        raise ValueError("node index %d out of range" % i)
+    node = node_table(rs)[i]
+    out = {}
+    for key, c in chi._terms.items():
+        m = node.pairing(key, chi.level)
+        if m >= 0:
+            rng, sign = range(0, m + 1), 1
+        elif m == -1:
+            continue
+        else:
+            rng, sign = range(-1, m, -1), -1
+        for j in rng:
+            k2 = tuple(a + j * d for a, d in zip(key, node.step))
+            nv = out.get(k2, 0) + sign * c
+            if nv:
+                out[k2] = nv
+            elif k2 in out:
+                del out[k2]
+    dropped = False
+    if chi.depth is not None:
+        bound = chi.depth * rs.q_denominator
+        before = len(out)
+        out = {k: v for k, v in out.items() if k[0] <= bound}
+        dropped = len(out) < before
+    return QCharacter._raw(rs, chi.level, out, chi.depth, chi.truncated or dropped)
+
+
+def dominant_coweights_below_reference(rs, lam):
+    """Reference walk over the dominant mu <= lam in Fraction Coweights: a
+    step subtracts a positive coroot, sorted by height, then coordinates."""
+    out = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for co in frontier:
+            for beta in rs.positive_coroots:
+                co2 = co - beta
+                if co2 not in out and rs.is_dominant_coweight(co2):
+                    out.add(co2)
+                    nxt.append(co2)
+        frontier = nxt
+    return sorted(out, key=lambda c: (-sum(c.coords), c.coords))
 
 
 def random_qcharacter(rs, rnd, level=1, nterms=6, span=3, qspan=4, depth=None):

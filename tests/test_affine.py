@@ -5,8 +5,9 @@ import pytest
 from affchar.affine import (AffineCoroot, AffineRoot, AffineWeight,
                             affine_coroot, curve_data, dominant_coweights_below,
                             fixed_point_support, fixed_point_weight, node_table)
-from affchar.rootsys import build_root_system, coweight, weight
-from conftest import SMALL_TYPES, node_pairing, reflect_affine_weight
+from affchar.rootsys import OrbitCapExceeded, build_root_system, coweight, weight
+from conftest import (SMALL_TYPES, dominant_coweights_below_reference, node_pairing,
+                      reflect_affine_weight)
 
 
 # -- affine coroots -----------------------------------------------------------
@@ -211,3 +212,24 @@ def test_dominant_below_stays_in_coset():
     key = rs.coset_key(lam)
     assert all(rs.coset_key(mu) == key for mu in below)
     assert all(rs.dominance_leq(mu, lam) for mu in below)
+
+
+@pytest.mark.parametrize("t,l", SMALL_TYPES)
+def test_dominant_below_matches_fraction_reference(t, l):
+    # the integer label walk returns the Fraction walk's list, reprs included
+    rs = build_root_system(t, l)
+    lams = [rs.coweight_from_fundamental([(i + j) % 3 for j in range(l)])
+            for i in range(3)]
+    lams.append(rs.coweight_from_fundamental([Fraction(1, 2)] + [1] * (l - 1)))
+    for lam in lams:
+        assert repr(dominant_coweights_below(rs, lam)) == \
+            repr(dominant_coweights_below_reference(rs, lam))
+
+
+def test_dominant_below_honours_cap():
+    rs = build_root_system("A", 2)
+    lam = rs.coweight_from_fundamental([3, 3])
+    below = dominant_coweights_below(rs, lam)
+    assert dominant_coweights_below(rs, lam, cap=len(below)) == below
+    with pytest.raises(OrbitCapExceeded):
+        dominant_coweights_below(rs, lam, cap=len(below) - 1)

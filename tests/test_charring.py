@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affchar.affine import Packing
 from affchar.charring import (QCharacter, TruncatedCharacterError, chars_agree,
                               first_discrepancy)
-from affchar.rootsys import Weight, build_root_system, weight
-from conftest import random_qcharacter
+from affchar.demazure import demazure_character
+from affchar.rootsys import OrbitCapExceeded, Weight, build_root_system, weight
+from conftest import demazure_reference, random_qcharacter
 
 
 def single(rs, w, q=0, level=0, coeff=1, depth=None):
@@ -138,6 +142,131 @@ def test_demazure_bad_node():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
         single(rs, weight([0, 0])).demazure(3)
+
+
+# -- the packed kernel against the tuple-key reference ---------------------------
+
+KERNEL_TYPES = [("A", 2), ("C", 2), ("G", 2), ("D", 4)]
+BIG = 2**70
+
+
+def _apply_reference(chi, word):
+    for i in word:
+        chi = demazure_reference(chi, i)
+    return chi
+
+
+def _same(a, b):
+    return ((a._terms, a.truncated, a.depth, a.level)
+            == (b._terms, b.truncated, b.depth, b.level))
+
+
+def _silent(rs, nodes, big):
+    """Fundamental coordinates of magnitude ``big`` that pair to 0 with every
+    node in ``nodes``, so the word's strings stay short; zero when no such
+    vector has free nodes to live on."""
+    free = [i for i in range(1, rs.rank + 1) if i not in nodes]
+    z = [0] * rs.rank
+    if 0 not in nodes:
+        for i in free:
+            z[i - 1] = big
+    elif len(free) >= 2:
+        # the theta-coroot coordinates c: sum_i c_i z_i is minus field 0
+        c = rs.highest_root_coroot.coords
+        a, b = free[:2]
+        z[a - 1], z[b - 1] = c[b - 1] * big, -c[a - 1] * big
+    return z
+
+
+@st.composite
+def kernel_cases(draw):
+    t, l = draw(st.sampled_from(KERNEL_TYPES))
+    rs = build_root_system(t, l)
+    word = draw(st.lists(st.integers(0, l), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        word.insert(draw(st.integers(0, len(word))), 0)
+    level = draw(st.integers(0, 2))
+    z = _silent(rs, set(word), draw(st.sampled_from([0, BIG, 3 * BIG + 1, 2**90])))
+    qbig = draw(st.sampled_from([0, BIG, -BIG, 2**100]))
+    qden = rs.q_denominator
+    terms = []
+    for fund, q, coeff in draw(st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=l, max_size=l),
+                      st.integers(0, 4 * qden), st.integers(-3, 3).filter(bool)),
+            min_size=1, max_size=4)):
+        wt = rs.weight_from_fundamental([a + b for a, b in zip(fund, z)])
+        terms.append((wt, Fraction(qbig + q, qden), coeff))
+    depth = draw(st.one_of(st.none(), st.integers(0, 8 * qden)))
+    if depth is not None:
+        depth = Fraction(qbig + depth, qden)
+    return QCharacter(rs, level, terms, depth=depth), tuple(word)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_packed_kernel_matches_reference(case):
+    # terms and the truncated flag agree with the reference applied node by
+    # node, on A2, C2, G2 and D4 at levels 0-2, with and without a depth, and
+    # with weights and q-exponents at 2**70 and beyond
+    chi, word = case
+    assert _same(chi.demazure(*word), _apply_reference(chi, word))
+
+
+@pytest.mark.parametrize("t,l,lam", [("A", 1, [12]), ("A", 2, [6, 6]),
+                                     ("G", 2, [1, 2])])
+def test_packed_kernel_widens_before_a_field_could_wrap(t, l, lam, monkeypatch):
+    # a raising word starts from a seed with small fields, so the strings
+    # that follow outgrow the first width: the terms are packed again wider
+    # and still match the reference
+    rs = build_root_system(t, l)
+    dc = demazure_character(rs, rs.coweight_from_fundamental(lam), 1)
+    seed = QCharacter(rs, 1, [(dc.base_weight.finite, -dc.base_weight.delta_deg, 1)])
+    widths = []
+    pack = Packing.pack
+
+    def recording(self, terms, level):
+        out = pack(self, terms, level)
+        widths.append(out[1])
+        return out
+
+    monkeypatch.setattr(Packing, "pack", recording)
+    assert _same(seed.demazure(*dc.word), _apply_reference(seed, dc.word))
+    assert len(widths) >= 2 and widths == sorted(widths)
+
+
+@pytest.mark.parametrize("t,l", KERNEL_TYPES)
+def test_off_lattice_key_raises_on_both_sides(t, l):
+    # a unit key step off the weight lattice pairs non-integrally with some
+    # node; both the kernel and the reference raise ValueError there
+    rs = build_root_system(t, l)
+    found = 0
+    for c in range(l):
+        key = (0,) + tuple(int(j == c) for j in range(l))
+        chi = QCharacter._raw(rs, 1, {key: 1}, None, False)
+        for i in range(1, l + 1):
+            if rs.cartan[i - 1][c] % rs.weight_denominator:
+                found += 1
+                with pytest.raises(ValueError):
+                    demazure_reference(chi, i)
+                with pytest.raises(ValueError):
+                    chi.demazure(i, *range(l + 1))
+    # every integer key of G2 is a weight (its weight denominator is 1)
+    assert (found == 0) == (rs.weight_denominator == 1)
+
+
+def test_demazure_word_is_nodes_in_order(rng):
+    rs = build_root_system("C", 2)
+    chi = random_qcharacter(rs, rng, level=1)
+    assert chi.demazure(0, 1, 2) == chi.demazure(0).demazure(1).demazure(2)
+    assert chi.demazure() == chi
+
+
+def test_demazure_cap_bounds_kept_terms():
+    rs = build_root_system("A", 2)
+    chi = single(rs, 2 * rs.fundamental_weight(1), level=0)
+    assert len(chi.demazure(1, 2, 1, cap=6)) == 6
+    with pytest.raises(OrbitCapExceeded):
+        chi.demazure(1, 2, 1, cap=5)
 
 
 # -- specialization and symmetry ----------------------------------------------------

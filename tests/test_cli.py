@@ -258,6 +258,18 @@ def test_fixed_support_honours_cap_orbit(capsys):
     assert "status=SKIPPED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["smooth-locus", "--lambda", "2,2"],
+    ["tensor", "--lambda", "2,2", "--mu", "1,1"],
+    ["domination", "--lambda", "2,2", "--mu", "1,1"],
+])
+def test_demazure_checks_honour_cap_orbit(argv, capsys):
+    # the one cap also bounds the weight raising and the Demazure terms
+    assert main(argv + ["--type", "A", "--rank", "2", "--cap-orbit", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "status=SKIPPED" in out and "exceeds cap of 1" in out
+
+
 @pytest.mark.parametrize("name", ["cap_elements", "lamda"])
 def test_unknown_parameter_rejected(name):
     params = {"type": "A", "rank": 1, "lam": [2], name: 10}

@@ -53,7 +53,7 @@ REMOVED_NAMES = [
     "CHECK_IDENTITY", "_CHECKS", "_REQUIRED", "_LEVEL_ONE", "weyl_dimension",
     # one cap, --cap-orbit, bounds every walk
     "cap_elements", "cap-elements", "CAP_ELEMENTS", "AFFCHAR_CAP_ELEMENTS",
-    "DEFAULT_ELEMENT_CAP", "DEFAULT_POINT_CAP", "ENV_PREFIX",
+    "DEFAULT_ELEMENT_CAP", "DEFAULT_POINT_CAP", "ENV_PREFIX", "_RAISING_CAP",
 ]
 
 
