@@ -11,7 +11,6 @@ kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,8 +18,7 @@ from typing import NamedTuple
 from .rootsys import DEFAULT_ORBIT_CAP, Coweight, OrbitCapExceeded, RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(NamedTuple):
     """n*delta + finite; real iff the finite part is nonzero."""
 
     n: int
@@ -30,14 +28,12 @@ class AffineRoot:
         return not self.finite.is_zero()
 
 
-@dataclass(frozen=True)
-class AffineCoroot:
+class AffineCoroot(NamedTuple):
     k_coeff: Fraction
     finite: Coweight
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(NamedTuple):
     """level*Lambda + finite + delta_deg*delta."""
 
     level: int
@@ -176,8 +172,7 @@ def fixed_point_weight(rs: RootSystem, mu: Coweight, k: int) -> AffineWeight:
     return AffineWeight(k, (-k) * rs.iota(mu), -Fraction(k) * rs.coform(mu, mu) / 2)
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     degree: Fraction
     endpoints: tuple
 

@@ -8,15 +8,13 @@ elapsed_ms field is excluded from the determinism contract.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .affine import (AffineCoroot, AffineRoot, affine_coroot, curve_data,
@@ -30,14 +28,13 @@ from .kacweyl import AffineDominantWeight, weyl_kac_character
 from .rootsys import DEFAULT_ORBIT_CAP, OrbitCapExceeded, build_root_system
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     params: dict
     status: str
     first_discrepancy: dict | None = None
     elapsed_ms: int = 0
-    truncation_flags: list = field(default_factory=list)
+    truncation_flags: list | tuple = ()
     skip_reason: str | None = None
 
     def to_json(self) -> str:
@@ -266,8 +263,7 @@ def _check_domination(rs, params):
     return "FAIL", _mismatch(None, None, 0, 1), []
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check: its runner, the identity it tests, the coweight
     parameters it requires and, for a level-one identity, what makes it so."""
 
@@ -356,8 +352,8 @@ def run_verification(check_name: str, params: dict) -> VerificationReport:
     params.setdefault("depth", 6)
     if params.get("cap_orbit") is None:
         params["cap_orbit"] = _env_cap()
-    rs = build_root_system(params["type"], params["rank"])
     _validate(check, check_name, params)
+    rs = build_root_system(params["type"], params["rank"])
     t0 = time.monotonic()
     try:
         status, fd, flags = check.run(rs, params)
@@ -550,7 +546,8 @@ def _coords(text):
     return [Fraction(x) for x in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # only the command line needs it
     p = argparse.ArgumentParser(
         prog="affchar",
         description="verify character identities for affine Kac-Moody modules")

@@ -10,8 +10,8 @@ q-character normalized to start at q^0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine import (AffineWeight, dominant_coweights_below, fixed_point_support,
                      fixed_point_weight, node_table)
@@ -19,8 +19,7 @@ from .charring import QCharacter, _qnum
 from .rootsys import DEFAULT_ORBIT_CAP, Coweight, OrbitCapExceeded, RootSystem
 
 
-@dataclass(frozen=True)
-class DemazureCharacter:
+class DemazureCharacter(NamedTuple):
     char: QCharacter
     lam: Coweight
     level: int
@@ -81,8 +80,7 @@ def finite_support(dc: DemazureCharacter) -> frozenset:
     return frozenset(dc.char.specialize_q1())
 
 
-@dataclass(frozen=True)
-class TensorCheck:
+class TensorCheck(NamedTuple):
     holds: bool
     lhs: dict
     rhs: dict

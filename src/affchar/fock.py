@@ -9,7 +9,7 @@ these towers over all points of the coset, re-normalized to start at q^0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .charring import QCharacter
@@ -26,15 +26,13 @@ def multipartition_counts(colors: int, depth: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeCoset:
+class LatticeCoset(namedtuple("LatticeCoset", "rs shift")):
     """Coset shift + coroot lattice inside the coweight lattice of rs."""
 
-    rs: RootSystem
-    shift: Coweight
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        rs, shift = self.rs, self.shift
+    def __new__(cls, rs: RootSystem, shift: Coweight):
         if not rs.in_coweight_lattice(shift):
             raise ValueError("coset shift must lie in the coweight lattice")
         if rs.is_simply_laced():
@@ -43,6 +41,7 @@ class LatticeCoset:
                 if norm.denominator != 1 or norm.numerator % 2:
                     raise ArithmeticError("coroot %r has odd or fractional norm %s"
                                           % (beta, norm))
+        return super().__new__(cls, rs, shift)
 
 
 def minimal_coset_norm_half(rs: RootSystem, shift: Coweight,

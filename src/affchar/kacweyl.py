@@ -20,15 +20,14 @@ whole pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charring import QCharacter
 from .rootsys import DEFAULT_ORBIT_CAP, RootSystem, Weight, coweight
 
 
-@dataclass(frozen=True)
-class AffineDominantWeight:
+class AffineDominantWeight(NamedTuple):
     """Level k plus a dominant finite weight nu with <theta-coroot, nu> <= k."""
 
     level: int

@@ -11,7 +11,6 @@ labelled following Bourbaki (Plates I-IX); for the E series the chain is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -42,11 +41,33 @@ def _dot(ints, coords):
     return sum(a * c for a, c in zip(ints, coords) if a and c)
 
 
-@dataclass(frozen=True)
 class _Coords:
-    """Exact coordinate vector; the arithmetic keeps the concrete subclass."""
+    """Exact coordinate vector; the arithmetic keeps the concrete subclass.
+    Frozen, and equal only to a vector of the same class and coordinates."""
 
-    coords: tuple
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "%s(coords=%r)" % (type(self).__name__, self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return type(self), (self.coords,)
 
     def __add__(self, other):
         return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -70,9 +91,13 @@ class _Coords:
 class Weight(_Coords):
     """Vector on the root side, stored in simple-root coordinates."""
 
+    __slots__ = ()
+
 
 class Coweight(_Coords):
     """Vector on the coroot side, stored in simple-coroot coordinates."""
+
+    __slots__ = ()
 
 
 def weight(coords) -> Weight:
@@ -84,20 +109,21 @@ def coweight(coords) -> Coweight:
 
 
 def _invert_matrix(mat):
-    # Gauss-Jordan over Fraction; mat is square and invertible here.
+    # Gauss-Jordan on primitive integer rows, Fractions only for the result;
+    # mat is square and invertible here.
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        p = aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            f = aug[r][col]
+            if r != col and f:
+                row = [x * p[col] - f * y for x, y in zip(aug[r], p)]
+                g = math.gcd(*row)
+                aug[r] = [x // g for x in row]
+    return tuple(tuple(Fraction(x, aug[i][i]) for x in aug[i][n:]) for i in range(n))
 
 
 def _cartan_matrix(type_label: str, rank: int):
@@ -172,53 +198,44 @@ class RootSystem:
     def _symmetrize(self):
         # propagate d over the Dynkin graph so that d_i * A[i][j] = d_j * A[j][i],
         # then rescale so max d = 1 (long roots get squared length 2)
-        l = self.rank
-        d = [None] * l
-        d[0] = Fraction(1)
+        l, a = self.rank, self.cartan
+        d = [Fraction(1)] + [None] * (l - 1)
         todo = [0]
         while todo:
             i = todo.pop()
             for j in range(l):
-                if i != j and self.cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(self.cartan[i][j], self.cartan[j][i])
+                if i != j and a[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
                     todo.append(j)
         top = max(d)
         d = tuple(x / top for x in d)
-        for i in range(l):
-            for j in range(l):
-                if d[i] * self.cartan[i][j] != d[j] * self.cartan[j][i]:
-                    raise ArithmeticError("Cartan matrix is not symmetrizable")
+        if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(l) for j in range(l)):
+            raise ArithmeticError("Cartan matrix is not symmetrizable")
         return d
 
     def _generate_roots(self):
+        # reflection closure on int tuples; Fractions only for the results
         l = self.rank
-        simple_pairs = []
-        for i in range(l):
-            root = tuple(Fraction(int(j == i)) for j in range(l))
-            coroot = tuple(Fraction(int(j == i)) for j in range(l))
-            simple_pairs.append((root, coroot))
-        seen = dict(simple_pairs)
-        queue = list(simple_pairs)
+        seen = {r: r for r in (tuple(int(j == i) for j in range(l)) for i in range(l))}
+        queue = list(seen.items())
         while queue:
             root, coroot = queue.pop()
             for i in range(l):
                 r2 = self._reflect_root_coords(i, root)
                 if r2 not in seen:
-                    c2 = self._reflect_coroot_coords(i, coroot)
-                    seen[r2] = c2
+                    seen[r2] = c2 = self._reflect_coroot_coords(i, coroot)
                     queue.append((r2, c2))
-        pos = sorted(r for r in seen if all(c >= 0 for c in r))
+        pos = sorted(r for r in seen if min(r) >= 0)
         if 2 * len(pos) != len(seen):
             raise RuntimeError("root closure is not split by positivity")
-        self._coroot_of = {Weight(r): Coweight(seen[r]) for r in pos}
-        self.positive_roots = tuple(sorted(self._coroot_of, key=lambda w: w.coords))
-        self.positive_coroots = tuple(self._coroot_of[r] for r in self.positive_roots)
-        by_height = max(self.positive_roots, key=lambda w: (sum(w.coords), w.coords))
-        if sum(1 for w in self.positive_roots
-               if sum(w.coords) == sum(by_height.coords)) != 1:
+        top = max(pos, key=lambda r: (sum(r), r))
+        if sum(1 for r in pos if sum(r) == sum(top)) != 1:
             raise RuntimeError("highest root is not unique")
-        self.highest_root = by_height
-        self.highest_root_coroot = self._coroot_of[by_height]
+        self.positive_roots = tuple(weight(r) for r in pos)
+        self.positive_coroots = tuple(coweight(seen[r]) for r in pos)
+        self._coroot_of = dict(zip(self.positive_roots, self.positive_coroots))
+        self.highest_root = self.positive_roots[pos.index(top)]
+        self.highest_root_coroot = self._coroot_of[self.highest_root]
         if self.root_norm(self.highest_root) != 2:
             raise ArithmeticError("highest root does not have squared length 2")
 
@@ -234,59 +251,54 @@ class RootSystem:
         return c[:i] + (c[i] - m,) + c[i + 1:]
 
     def _build_fundamental(self):
-        l = self.rank
         inv = self._cartan_inv
-        # fundamental weight i: column i of A^-1 in simple-root coordinates
-        self.fundamental_weights = tuple(
-            Weight(tuple(inv[j][i] for j in range(l))) for i in range(l))
+        # fundamental weight i: column i of A^-1 in simple-root coordinates;
         # fundamental coweight i: row i of A^-1 in simple-coroot coordinates
-        self.fundamental_coweights = tuple(
-            Coweight(tuple(inv[i][j] for j in range(l))) for i in range(l))
-        self.rho_weight = Weight(tuple(sum(col) for col in zip(
-            *(w.coords for w in self.fundamental_weights))))
-        self.rho_coweight = Coweight(tuple(sum(col) for col in zip(
-            *(c.coords for c in self.fundamental_coweights))))
+        self.fundamental_weights = tuple(map(Weight, zip(*inv)))
+        self.fundamental_coweights = tuple(map(Coweight, inv))
+        self.rho_weight = Weight(tuple(map(sum, inv)))
+        self.rho_coweight = Coweight(tuple(map(sum, zip(*inv))))
         # dual Coxeter number: 1 + height of the highest root's coroot
         self.dual_coxeter = 1 + int(sum(self.highest_root_coroot.coords))
 
     def _build_pi1(self):
         # pi_1 of the adjoint form = coweight lattice / coroot lattice; cosets
-        # generated by the fundamental coweights taken mod 1 in coroot coordinates
-        keys = {self.coset_key(Coweight(tuple(Fraction(0) for _ in range(self.rank))))}
-        frontier = [self.coset_key(c) for c in self.fundamental_coweights]
-        changed = True
-        while changed:
-            changed = False
-            for a in list(keys):
-                for g in frontier:
-                    s = tuple((x + y) % 1 for x, y in zip(a, g))
-                    if s not in keys:
-                        keys.add(s)
-                        changed = True
+        # generated by the fundamental coweights taken mod 1 in coroot
+        # coordinates, walked as integers mod their common denominator n
+        inv = self._cartan_inv
+        n = math.lcm(*(c.denominator for row in inv for c in row))
+        gens = [tuple(int(c * n) % n for c in row) for row in inv]
+        keys, todo = {(0,) * self.rank}, [(0,) * self.rank]
+        while todo:
+            a = todo.pop()
+            for g in gens:
+                s = tuple((x + y) % n for x, y in zip(a, g))
+                if s not in keys:
+                    keys.add(s)
+                    todo.append(s)
         self.pi1_order = len(keys)
-        self.pi1_coset_keys = tuple(sorted(keys))
+        self.pi1_coset_keys = tuple(tuple(Fraction(x, n) for x in key)
+                                    for key in sorted(keys))
 
     def _build_scalings(self):
-        weights = self.fundamental_weights + tuple(
-            self.iota(c) for c in self.fundamental_coweights)
+        # from the entries c = (A^-1)_ij: omega_j has coordinate c at i,
+        # iota(omega_i-check) has c / d_j at j, and (omega_j-check,
+        # omega_i-check) = c / d_j
+        entries = [(c, d) for row in self._cartan_inv
+                   for c, d in zip(row, self.root_norm_halves)]
         self.weight_denominator = math.lcm(
-            *(c.denominator for w in weights for c in w.coords))
-        self.q_denominator = math.lcm(
-            *((self.coform(c, c2) / 2).denominator
-              for c in self.fundamental_coweights for c2 in self.fundamental_coweights))
+            *(x.denominator for c, d in entries for x in (c, c / d)))
+        self.q_denominator = math.lcm(*((c / (2 * d)).denominator for c, d in entries))
 
     def _longest_element_word(self):
-        # lower rho-coweight to the antidominant chamber, recording reflections
-        cur = self.rho_coweight
-        word = []
-        while True:
-            for i in range(1, self.rank + 1):
-                if self.pair(cur, self.simple_root(i)) > 0:
-                    cur = self.reflect_coweight(i, cur)
-                    word.append(i)
-                    break
-            else:
-                return tuple(word)
+        # lower rho-coweight to the antidominant chamber on its labels
+        # <cur, alpha_j>, all 1 at rho; s_i subtracts labels[i] * Cartan row i
+        labels, word = [1] * self.rank, []
+        while any(c > 0 for c in labels):
+            i = next(i for i, c in enumerate(labels) if c > 0)
+            labels = [c - labels[i] * a for c, a in zip(labels, self.cartan[i])]
+            word.append(i + 1)
+        return tuple(word)
 
     # -- basic data access ----------------------------------------------
 

@@ -321,6 +321,66 @@ def dominant_coweights_below_reference(rs, lam):
     return sorted(out, key=lambda c: (-sum(c.coords), c.coords))
 
 
+def root_system_reference(rs):
+    """Reference construction of rs in Fraction arithmetic, keyed by attribute
+    name: the reflection closure on Fraction tuples, the fundamental data from
+    the inverse Cartan matrix, pi_1 by closure of the coset keys,
+    q_denominator from the l^2 pairings (omega_i-check, omega_j-check) through
+    ``coform``, and the longest word by lowering rho-coweight through ``pair``
+    and ``reflect_coweight``."""
+    l = rs.rank
+
+    def reflect(vec, i, line):
+        m = sum(a * c for a, c in zip(line, vec) if a and c)
+        return vec[:i] + (vec[i] - m,) + vec[i + 1:]
+
+    unit = [tuple(Fraction(int(j == i)) for j in range(l)) for i in range(l)]
+    seen = dict(zip(unit, unit))
+    queue = list(seen.items())
+    while queue:
+        root, coroot = queue.pop()
+        for i in range(l):
+            r2 = reflect(root, i, rs.cartan[i])
+            if r2 not in seen:
+                seen[r2] = reflect(coroot, i, [row[i] for row in rs.cartan])
+                queue.append((r2, seen[r2]))
+    pos = sorted(r for r in seen if all(c >= 0 for c in r))
+    out = {"_coroot_of": {Weight(r): Coweight(seen[r]) for r in pos}}
+    out["positive_roots"] = tuple(sorted(out["_coroot_of"], key=lambda w: w.coords))
+    out["positive_coroots"] = tuple(out["_coroot_of"][r] for r in out["positive_roots"])
+    theta = max(out["positive_roots"], key=lambda w: (sum(w.coords), w.coords))
+    out["highest_root"] = theta
+    out["highest_root_coroot"] = out["_coroot_of"][theta]
+    inv = rs._cartan_inv
+    fw = tuple(Weight(tuple(inv[j][i] for j in range(l))) for i in range(l))
+    fcw = tuple(Coweight(tuple(inv[i][j] for j in range(l))) for i in range(l))
+    out["fundamental_weights"], out["fundamental_coweights"] = fw, fcw
+    out["rho_weight"] = Weight(tuple(sum(col) for col in zip(*(w.coords for w in fw))))
+    out["rho_coweight"] = Coweight(tuple(sum(col) for col in zip(*(c.coords for c in fcw))))
+    out["dual_coxeter"] = 1 + int(sum(out["highest_root_coroot"].coords))
+    keys = {tuple(Fraction(0) for _ in range(l))}
+    gens = [tuple(x % 1 for x in c.coords) for c in fcw]
+    while True:
+        more = {tuple((x + y) % 1 for x, y in zip(a, g)) for a in keys for g in gens}
+        if more <= keys:
+            break
+        keys |= more
+    out["pi1_order"], out["pi1_coset_keys"] = len(keys), tuple(sorted(keys))
+    out["weight_denominator"] = math.lcm(
+        *(c.denominator for w in fw + tuple(rs.iota(c) for c in fcw) for c in w.coords))
+    out["q_denominator"] = math.lcm(
+        *((rs.coform(a, b) / 2).denominator for a in fcw for b in fcw))
+    cur, word = out["rho_coweight"], []
+    while True:
+        i = next((i for i in range(1, l + 1) if rs.pair(cur, rs.simple_root(i)) > 0), None)
+        if i is None:
+            break
+        cur = rs.reflect_coweight(i, cur)
+        word.append(i)
+    out["longest_word"] = tuple(word)
+    return out
+
+
 def random_qcharacter(rs, rnd, level=1, nterms=6, span=3, qspan=4, depth=None):
     terms = []
     for _ in range(nterms):

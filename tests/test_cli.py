@@ -298,3 +298,18 @@ def test_check_table_is_consistent(capsys):
         main(["fks", "--type", "A", "--rank", "1", "--coset", "0",
               "--cap-elements", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"coset": [0]}, "--coset needs 99999 comma-separated coefficients"),
+    ({"coset": [0] * 99999, "cap_orbit": 0}, "--cap-orbit must be a positive"),
+], ids=["coset", "cap-orbit"])
+def test_parameters_are_validated_before_the_root_system_is_built(
+        params, message, monkeypatch):
+    # a wrong-length --coset for a huge rank must not build that rank first
+    def refuse(*args):
+        raise AssertionError("build_root_system called before validation")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    with pytest.raises(ValueError, match=message):
+        run_verification("fks", dict(params, type="A", rank=99999, depth=0))

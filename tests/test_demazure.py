@@ -251,3 +251,12 @@ def test_boundary_check_guards():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError):
         boundary_dimension_check(rs, 2)
+
+
+def test_affine_weight_record_repr_and_hash():
+    rs = build_root_system("A", 2)
+    base = demazure_character(rs, rs.fundamental_coweight(1), 1).base_weight
+    assert repr(base) == (
+        "AffineWeight(level=1, finite=Weight(coords=(Fraction(1, 3), "
+        "Fraction(2, 3))), delta_deg=Fraction(-1, 3))")
+    assert hash(base) == hash((base.level, base.finite, base.delta_deg))

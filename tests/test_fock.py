@@ -50,6 +50,14 @@ def test_lattice_coset_validation():
     LatticeCoset(rs, rs.fundamental_coweight(1))  # fine
 
 
+def test_lattice_coset_replace_checks_the_shift():
+    rs = build_root_system("A", 2)
+    coset = LatticeCoset(rs, rs.fundamental_coweight(1))
+    assert coset._replace(shift=rs.fundamental_coweight(2)).shift == rs.fundamental_coweight(2)
+    with pytest.raises(ValueError):
+        coset._replace(shift=coweight([Fraction(1, 5), 0]))
+
+
 def test_coset_point_enumeration_a1():
     rs = build_root_system("A", 1)
     pts = coset_points_up_to(rs, coweight([0]), Fraction(4))

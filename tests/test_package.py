@@ -1,6 +1,8 @@
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import affchar
 
@@ -72,3 +74,14 @@ def test_removed_names_stay_out_of_package():
     found += ["fock.LatticeCoset.%s" % node.name for node in coset.body
               if isinstance(node, ast.FunctionDef) and node.name == "key"]
     assert found == []
+
+
+def test_package_import_loads_no_dataclasses_inspect_or_argparse():
+    # a cold start pays only for what the verdicts use: the records are
+    # hand-written or NamedTuples, and the parser imports argparse itself
+    src = str(pathlib.Path(affchar.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import affchar.cli; print(' '.join(sorted(set(sys.modules) - before)))" % src)
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert {"dataclasses", "inspect", "argparse"} & set(out.stdout.split()) == set()

@@ -5,8 +5,8 @@ import pytest
 from affchar.charring import QCharacter
 from affchar.rootsys import (Coweight, OrbitCapExceeded, Weight,
                              build_root_system, coweight, weight)
-from conftest import (SMALL_TYPES, box_lattice_points, weyl_character_oracle,
-                      weyl_dimension)
+from conftest import (SMALL_TYPES, box_lattice_points, root_system_reference,
+                      weyl_character_oracle, weyl_dimension)
 
 ALL_TYPES = SMALL_TYPES + [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("D", 5),
                            ("B", 2), ("C", 3), ("A", 4)]
@@ -380,3 +380,31 @@ def test_lattice_points_of_norm_two_are_the_roots(t, l):
     assert len(pts) == 1 + 2 * POSITIVE_ROOT_COUNTS[(t, l)]
     assert {p for p, norm in pts if norm} == {
         tuple(s * c for c in co.coords) for co in rs.positive_coroots for s in (1, -1)}
+
+
+REFERENCE_TYPES = ([("A", l) for l in range(1, 9)] + [("B", l) for l in range(2, 7)]
+                   + [("C", l) for l in range(2, 7)] + [("D", l) for l in range(3, 8)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("t,l", REFERENCE_TYPES)
+def test_construction_matches_fraction_reference(t, l):
+    # the integer construction gives every attribute the Fraction one gives,
+    # down to the repr (Fraction coordinates, order of tuples and dicts)
+    rs = build_root_system(t, l)
+    ref = root_system_reference(rs)
+    assert {k: repr(getattr(rs, k)) for k in ref} == {k: repr(v) for k, v in ref.items()}
+
+
+def test_weight_record_semantics():
+    # Weight/Coweight keep the frozen-record behaviour characters rely on:
+    # the hash and repr of a one-field record, equality only within a class
+    w = weight([1, Fraction(-1, 2)])
+    assert hash(w) == hash((w.coords,))
+    assert repr(w) == "Weight(coords=(Fraction(1, 1), Fraction(-1, 2)))"
+    assert w == Weight(w.coords) and w != Coweight(w.coords) and w != w.coords
+    with pytest.raises(AttributeError):
+        w.coords = (0, 0)
+    with pytest.raises(AttributeError):
+        del w.coords
+    assert {w: 1} == {weight([1, Fraction(-1, 2)]): 1}
