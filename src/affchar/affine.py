@@ -102,23 +102,28 @@ class Packing(NamedTuple):
     def fields(self, key) -> tuple:
         return tuple(node.pairing(key, 0) for node in self.nodes)
 
-    def steps(self, width: int) -> tuple:
+    def steps(self, width: int, graded: bool = True) -> tuple:
+        """The packed steps at ``width``; ``graded=False`` leaves out node 0's
+        q-step, which is how e^delta = 1 acts on packed keys."""
         qshift = len(self.nodes) * width
         return tuple(sum(f << (j * width) for j, f in enumerate(self.fields(node.step)))
-                     + (node.step[0] << qshift) for node in self.nodes)
+                     + (node.step[0] << qshift if graded else 0) for node in self.nodes)
 
-    def pack(self, terms: dict, level: int) -> tuple:
+    def pack(self, terms: dict, level: int, width: int = 0) -> tuple:
         """(packed terms, width, bound): ``bound`` is the largest field
-        magnitude of the terms, and the width leaves room for one node
-        application at ``level`` (see ``QCharacter.demazure``) with _SPARE
-        bits to spare.  Raises ValueError for a weight off the weight lattice."""
+        magnitude of the terms, and the width, at least ``width``, leaves room
+        for one node application at ``level`` (see ``QCharacter.demazure``)
+        with _SPARE bits to spare, so also for the sum of two fields of
+        magnitude at most ``bound``.  Raises ValueError for a weight off the
+        weight lattice."""
         fields = {}
         for key in terms:
             if key[1:] not in fields:
                 fields[key[1:]] = self.fields(key)
         bound = max((abs(f) for fs in fields.values() for f in fs), default=0)
         top = max(self.reach)
-        width = ((top + 1) * bound + top * abs(level)).bit_length() + 1 + _SPARE
+        width = max(width, ((top + 1) * bound + top * abs(level)).bit_length()
+                    + 1 + _SPARE)
         half = 1 << (width - 1)
         qshift = len(self.nodes) * width
         low = {w: sum((f + half) << (j * width) for j, f in enumerate(fs))

@@ -142,26 +142,40 @@ class QCharacter:
                                self.depth, self.truncated)
 
     def mul(self, other: "QCharacter") -> "QCharacter":
-        """Convolution product; depths must agree, levels add."""
+        """Convolution product; depths must agree, levels add.  Raises
+        ValueError for a weight off the weight lattice.
+
+        Both factors are packed (``affine.Packing``) at one width with room
+        for the sum of two fields.  The fields are linear in the key, so a
+        product's packed key is the sum of its factors' packed keys less one
+        bias per field.  A pair beyond the depth sets the truncated flag even
+        if its product term would cancel."""
         self._check_compat(other)
-        bound = None if self.depth is None else int(self.depth * self.rs.q_denominator)
-        out = {}
-        dropped = False
+        pk = packing(self.rs)
         small, big = (self._terms, other._terms)
         if len(small) > len(big):
             small, big = big, small
-        for k1, v1 in small.items():
-            for k2, v2 in big.items():
-                q = k1[0] + k2[0]
-                if bound is not None and q > bound:
+        a, width, _ = pk.pack(small, 0)
+        b, wide, _ = pk.pack(big, 0, width)
+        if wide > width:
+            a, width, _ = pk.pack(small, 0, wide)
+        qshift = len(pk.nodes) * width
+        bias = sum(1 << (j * width + width - 1) for j in range(len(pk.nodes)))
+        # keys order by q first: q <= depth*qden exactly when key < limit
+        limit = (None if self.depth is None
+                 else (math.floor(self.depth * self.rs.q_denominator) + 1) << qshift)
+        out = {}
+        get = out.get
+        dropped = False
+        for k1, v1 in a.items():
+            k1 -= bias
+            for k2, v2 in b.items():
+                key = k1 + k2
+                if limit is not None and key >= limit:
                     dropped = True
                     continue
-                key = (q,) + tuple(a + b for a, b in zip(k1[1:], k2[1:]))
-                nv = out.get(key, 0) + v1 * v2
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
+                out[key] = get(key, 0) + v1 * v2
+        out = pk.unpack({k: v for k, v in out.items() if v}, width)
         return QCharacter._raw(self.rs, self.level + other.level, out, self.depth,
                                self.truncated or other.truncated or dropped)
 
@@ -184,7 +198,7 @@ class QCharacter:
 
     # -- Demazure operators --------------------------------------------------
 
-    def demazure(self, *word, cap=None) -> "QCharacter":
+    def demazure(self, *word, cap=None, at_q1=False) -> "QCharacter":
         """Isobaric divided-difference operators of the nodes of ``word``
         (0 = affine node), the first node applied first.
 
@@ -202,14 +216,23 @@ class QCharacter:
         (r+1)*bound + r*|level| must stay below 2**(width-1), and the terms
         are packed again at a larger width when it would not; after the
         node the bound grows by r times the largest |m| met.
+
+        ``at_q1`` runs the same loop on the q = 1 specialization and returns
+        ``self.demazure(*word).at_q1()``: e^delta = 1 is a ring map that every
+        simple reflection respects (W fixes delta), so it commutes with every
+        operator, and on packed keys it only takes the q-step out of node 0's
+        step.  ``cap`` then counts q = 1 terms.  A q = 1 character has no
+        depth, so a character with one raises ValueError.
         """
         rs, level = self.rs, self.level
         for i in word:
             if not 0 <= i <= rs.rank:
                 raise ValueError("node index %d out of range" % i)
+        if at_q1 and self.depth is not None:
+            raise ValueError("the q = 1 specialization has no depth bound")
         pk = packing(rs)
-        terms, width, bound = pk.pack(self._terms, level)
-        steps = pk.steps(width)
+        terms, width, bound = pk.pack((self.at_q1() if at_q1 else self)._terms, level)
+        steps = pk.steps(width, not at_q1)
         # q <= depth*qden exactly when key < (floor(depth*qden) + 1) << qshift
         qtop = (None if self.depth is None
                 else math.floor(self.depth * rs.q_denominator) + 1)
@@ -218,7 +241,7 @@ class QCharacter:
             reach, lvl = pk.reach[i], pk.nodes[i].level_coeff * level
             if (reach + 1) * bound + reach * abs(lvl) >= 1 << (width - 1):
                 terms, width, bound = pk.pack(pk.unpack(terms, width), level)
-                steps = pk.steps(width)
+                steps = pk.steps(width, not at_q1)
             shift, mask = i * width, (1 << width) - 1
             offset = (1 << (width - 1)) - lvl
             step = steps[i]

@@ -28,13 +28,16 @@ class DemazureCharacter(NamedTuple):
 
 
 def demazure_character(rs: RootSystem, lam: Coweight, k: int, depth=None,
-                       cap: int = DEFAULT_ORBIT_CAP) -> DemazureCharacter:
+                       cap: int = DEFAULT_ORBIT_CAP,
+                       at_q1: bool = False) -> DemazureCharacter:
     """Character of the level-k affine Demazure module attached to dominant lam.
 
     ``depth`` only guards runaway inputs; the module is finite-dimensional and
-    is computed in full by default.  Raises OrbitCapExceeded when the weight
-    raising takes more than ``cap`` steps or more than ``cap`` terms are kept
-    after a node.
+    is computed in full by default.  ``at_q1`` gives its q = 1 specialization
+    (``char.at_q1()`` of the graded result) straight from the Demazure kernel
+    (see ``QCharacter.demazure``); it takes no depth.  Raises OrbitCapExceeded
+    when the weight raising takes more than ``cap`` steps or more than ``cap``
+    terms are kept after a node.
     """
     if k < 1:
         raise ValueError("level must be a positive integer, got %r" % (k,))
@@ -63,12 +66,13 @@ def demazure_character(rs: RootSystem, lam: Coweight, k: int, depth=None,
     base = AffineWeight(k, rs.key_weight(key[1:]),
                         -Fraction(key[0], rs.q_denominator))
     chi = QCharacter(rs, k, [(base.finite, -base.delta_deg, 1)], depth=depth)
-    chi = chi.demazure(*word, cap=cap)
+    chi = chi.demazure(*word, cap=cap, at_q1=at_q1)
     # report the section-space side: finite support is then the iota-image of
     # the fixed locus and the q^0 layer is the irreducible of highest weight
-    # k * (minuscule weight of the coset of lam)
-    chi = chi.normalized()
-    terms = {(t[0],) + tuple(-c for c in t[1:]): v for t, v in chi._terms.items()}
+    # k * (minuscule weight of the coset of lam); one pass negates the weights
+    # and shifts the least q-numerator to zero (as ``normalized`` does)
+    low = min((t[0] for t in chi._terms), default=0)
+    terms = {(t[0] - low,) + tuple(-c for c in t[1:]): v for t, v in chi._terms.items()}
     chi = QCharacter._raw(rs, k, terms, chi.depth, chi.truncated)
     return DemazureCharacter(chi, lam, k, base, word)
 
@@ -86,16 +90,22 @@ class TensorCheck(NamedTuple):
     rhs: dict
 
 
+def _at_q1(rs, lam, k, cap) -> QCharacter:
+    return demazure_character(rs, lam, k, cap=cap, at_q1=True).char
+
+
 def tensor_product_check(rs: RootSystem, lam: Coweight, mu: Coweight, k: int,
                          cap: int = DEFAULT_ORBIT_CAP) -> TensorCheck:
     """Compare the finite character of the module for lam+mu with the product
-    of the finite characters for lam and mu."""
-    both = demazure_character(rs, lam + mu, k, cap=cap)
-    a = demazure_character(rs, lam, k, cap=cap)
-    b = demazure_character(rs, mu, k, cap=cap)
-    lhs = both.char.specialize_q1()
-    rhs = a.char.at_q1().mul(b.char.at_q1()).specialize_q1()
-    return TensorCheck(lhs == rhs, lhs, rhs)
+    of the finite characters for lam and mu, all taken at q = 1."""
+    both = _at_q1(rs, lam + mu, k, cap)
+    a = _at_q1(rs, lam, k, cap)
+    b = a if mu == lam else _at_q1(rs, mu, k, cap)
+    lhs, rhs = both._sums_over_q(), a.mul(b)._sums_over_q()
+    holds = lhs == rhs
+    lhs = {rs.key_weight(w): c for w, c in lhs.items()}
+    rhs = lhs if holds else {rs.key_weight(w): c for w, c in rhs.items()}
+    return TensorCheck(holds, lhs, rhs)
 
 
 def restriction_domination_check(rs: RootSystem, lam: Coweight, mu: Coweight,
@@ -104,8 +114,8 @@ def restriction_domination_check(rs: RootSystem, lam: Coweight, mu: Coweight,
     one for lam; requires mu <= lam in dominance order."""
     if not rs.dominance_leq(mu, lam):
         raise ValueError("mu must be dominance-below lam")
-    big = demazure_character(rs, lam, k, cap=cap).char.specialize_q1()
-    small = demazure_character(rs, mu, k, cap=cap).char.specialize_q1()
+    big = _at_q1(rs, lam, k, cap)._sums_over_q()
+    small = big if mu == lam else _at_q1(rs, mu, k, cap)._sums_over_q()
     return all(big.get(w, 0) >= c for w, c in small.items())
 
 
@@ -119,8 +129,8 @@ def smooth_locus_profile(rs: RootSystem, lam: Coweight, k: int = 1,
                          cap: int = DEFAULT_ORBIT_CAP) -> dict:
     """Multiplicity of each dominant mu <= lam in the level-k module for lam,
     read at the weight iota(mu); multiplicity 1 marks the open stratum."""
-    q1 = demazure_character(rs, lam, k, cap=cap).char.specialize_q1()
-    return {mu: q1.get(rs.iota(mu), 0)
+    q1 = _at_q1(rs, lam, k, cap)._sums_over_q()
+    return {mu: q1.get(rs.weight_key(rs.iota(mu)), 0)
             for mu in dominant_coweights_below(rs, lam, cap)}
 
 

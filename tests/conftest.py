@@ -304,6 +304,31 @@ def demazure_reference(chi, i):
     return QCharacter._raw(rs, chi.level, out, chi.depth, chi.truncated or dropped)
 
 
+def mul_reference(a, b):
+    """Reference convolution product on tuple keys, pair by pair: depths must
+    agree, levels add, and a pair beyond the depth sets the truncated flag
+    even if its product term cancels; independent of the packed product of
+    ``QCharacter.mul``."""
+    a._check_compat(b)
+    bound = None if a.depth is None else int(a.depth * a.rs.q_denominator)
+    out = {}
+    dropped = False
+    for k1, v1 in a._terms.items():
+        for k2, v2 in b._terms.items():
+            q = k1[0] + k2[0]
+            if bound is not None and q > bound:
+                dropped = True
+                continue
+            key = (q,) + tuple(x + y for x, y in zip(k1[1:], k2[1:]))
+            nv = out.get(key, 0) + v1 * v2
+            if nv:
+                out[key] = nv
+            elif key in out:
+                del out[key]
+    return QCharacter._raw(a.rs, a.level + b.level, out, a.depth,
+                           a.truncated or b.truncated or dropped)
+
+
 def dominant_coweights_below_reference(rs, lam):
     """Reference walk over the dominant mu <= lam in Fraction Coweights: a
     step subtracts a positive coroot, sorted by height, then coordinates."""

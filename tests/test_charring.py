@@ -10,7 +10,7 @@ from affchar.charring import (QCharacter, TruncatedCharacterError, chars_agree,
                               first_discrepancy)
 from affchar.demazure import demazure_character
 from affchar.rootsys import OrbitCapExceeded, Weight, build_root_system, weight
-from conftest import demazure_reference, random_qcharacter
+from conftest import demazure_reference, mul_reference, random_qcharacter
 
 
 def single(rs, w, q=0, level=0, coeff=1, depth=None):
@@ -179,11 +179,11 @@ def _silent(rs, nodes, big):
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, with_depth=True, with_node0=False):
     t, l = draw(st.sampled_from(KERNEL_TYPES))
     rs = build_root_system(t, l)
     word = draw(st.lists(st.integers(0, l), min_size=1, max_size=5))
-    if draw(st.booleans()):
+    if draw(st.booleans()) or with_node0:
         word.insert(draw(st.integers(0, len(word))), 0)
     level = draw(st.integers(0, 2))
     z = _silent(rs, set(word), draw(st.sampled_from([0, BIG, 3 * BIG + 1, 2**90])))
@@ -196,7 +196,7 @@ def kernel_cases(draw):
             min_size=1, max_size=4)):
         wt = rs.weight_from_fundamental([a + b for a, b in zip(fund, z)])
         terms.append((wt, Fraction(qbig + q, qden), coeff))
-    depth = draw(st.one_of(st.none(), st.integers(0, 8 * qden)))
+    depth = draw(st.one_of(st.none(), st.integers(0, 8 * qden))) if with_depth else None
     if depth is not None:
         depth = Fraction(qbig + depth, qden)
     return QCharacter(rs, level, terms, depth=depth), tuple(word)
@@ -210,6 +210,35 @@ def test_packed_kernel_matches_reference(case):
     # with weights and q-exponents at 2**70 and beyond
     chi, word = case
     assert _same(chi.demazure(*word), _apply_reference(chi, word))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kernel_cases(with_depth=False, with_node0=True))
+def test_q1_kernel_is_graded_kernel_summed_over_q(case):
+    # e^delta = 1 commutes with every operator: the kernel run at q = 1 gives
+    # the graded kernel's result summed over q, on A2, C2, G2 and D4 at
+    # levels 0-2, with node 0 in every word
+    chi, word = case
+    assert _same(chi.demazure(*word, at_q1=True), chi.demazure(*word).at_q1())
+
+
+def test_q1_kernel_rejects_a_depth():
+    rs = build_root_system("A", 1)
+    with pytest.raises(ValueError):
+        single(rs, rs.simple_root(1), level=1, depth=2).demazure(0, at_q1=True)
+
+
+def test_q1_kernel_cap_counts_q1_terms():
+    # D_0 D_1 on e^(2 omega) at level 1 spreads over several q-layers; the
+    # cap bounds the q = 1 terms only
+    rs = build_root_system("A", 1)
+    chi = single(rs, 2 * rs.fundamental_weight(1), level=1)
+    graded = chi.demazure(1, 0, 1)
+    n = len(graded.at_q1())
+    assert n < len(graded)
+    assert len(chi.demazure(1, 0, 1, at_q1=True, cap=n)) == n
+    with pytest.raises(OrbitCapExceeded):
+        chi.demazure(1, 0, 1, cap=n)
 
 
 @pytest.mark.parametrize("t,l,lam", [("A", 1, [12]), ("A", 2, [6, 6]),
@@ -304,6 +333,41 @@ def test_specialize_is_ring_homomorphism(rng):
     rhs = _weight_dict_mul(a.specialize_q1(), b.specialize_q1())
     assert lhs == rhs
     assert a.at_q1().mul(b.at_q1()).specialize_q1() == rhs
+
+
+@pytest.mark.parametrize("t,l", KERNEL_TYPES)
+def test_packed_mul_matches_reference(t, l, rng):
+    # terms, level and the truncated flag agree with the tuple-key product,
+    # with and without a depth, one-sided and on both sides
+    rs = build_root_system(t, l)
+    for depth in (None, 0, 3, 6):
+        for _ in range(4):
+            a = random_qcharacter(rs, rng, level=rng.randint(0, 2), depth=depth)
+            b = random_qcharacter(rs, rng, nterms=rng.randint(1, 9), depth=depth)
+            assert _same(a.mul(b), mul_reference(a, b))
+            assert _same(a.at_q1().mul(b), mul_reference(a.at_q1(), b))
+    a = random_qcharacter(rs, rng, depth=3, qspan=8)
+    prod = a.mul(a)
+    assert prod.truncated and _same(prod, mul_reference(a, a))
+
+
+@pytest.mark.parametrize("t,l", KERNEL_TYPES)
+def test_packed_mul_widens_for_the_wider_factor(t, l, rng):
+    # a factor with fields near 2**70 forces a wider packing than the other
+    # factor's, whichever of the two has fewer terms
+    rs = build_root_system(t, l)
+    far = QCharacter(rs, 0, [(BIG * rs.fundamental_weight(1), Fraction(2**100), 2),
+                             (-BIG * rs.simple_root(l), Fraction(0), -1)])
+    near = random_qcharacter(rs, rng)
+    for a, b in ((far, near), (near, far), (far, far)):
+        assert _same(a.mul(b), mul_reference(a, b))
+
+
+def test_packed_mul_rejects_weights_off_the_weight_lattice():
+    rs = build_root_system("A", 2)
+    off = QCharacter._raw(rs, 0, {(0, 1, 0): 1}, None, False)
+    with pytest.raises(ValueError):
+        off.mul(QCharacter.unit(rs))
 
 
 def test_weyl_invariance_examples():

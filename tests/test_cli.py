@@ -270,6 +270,16 @@ def test_demazure_checks_honour_cap_orbit(argv, capsys):
     assert "status=SKIPPED" in out and "exceeds cap of 1" in out
 
 
+@pytest.mark.parametrize("cap,status", [(2576, "SKIPPED"), (2577, "PASS"),
+                                        (20434, "PASS")])
+def test_tensor_cap_counts_q1_terms(cap, status):
+    # the module for (2,2,0,2) has 2577 weights at q = 1 over 20435 graded
+    # terms; tensor reads only q = 1, so the cap bounds the 2577
+    rep = run_verification("tensor", {"type": "D", "rank": 4, "lam": [1, 1, 0, 1],
+                                      "mu": [1, 1, 0, 1], "cap_orbit": cap})
+    assert rep.status == status
+
+
 @pytest.mark.parametrize("name", ["cap_elements", "lamda"])
 def test_unknown_parameter_rejected(name):
     params = {"type": "A", "rank": 1, "lam": [2], name: 10}

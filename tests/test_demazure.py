@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from affchar.affine import dominant_coweights_below, fixed_point_weight
-from affchar.charring import TruncatedCharacterError, chars_agree
-from affchar.demazure import (boundary_dimension_check, demazure_character,
-                              finite_support, fixed_support_image,
-                              restriction_domination_check, smooth_locus_profile,
-                              tensor_product_check)
+from affchar.charring import QCharacter, TruncatedCharacterError, chars_agree
+from affchar.demazure import (TensorCheck, boundary_dimension_check,
+                              demazure_character, finite_support,
+                              fixed_support_image, restriction_domination_check,
+                              smooth_locus_profile, tensor_product_check)
 from affchar.kacweyl import AffineDominantWeight, weyl_kac_character
 from affchar.rootsys import build_root_system, coweight, weight
-from conftest import (SMALL_TYPES, demazure_character_from_word, node_pairing,
-                      reflect_affine_weight)
+from affchar.cli import identity_check_suite
+from conftest import (SMALL_TYPES, demazure_character_from_word, mul_reference,
+                      node_pairing, reflect_affine_weight)
 
 
 def test_unit_character_for_zero():
@@ -209,6 +210,79 @@ def test_smooth_profile_a2():
     assert set(profile) == set(below)
     for mu, mult in profile.items():
         assert (mult == 1) == (mu == lam)
+
+
+# -- the q = 1 checks against the graded character -----------------------------------
+
+
+def _graded_q1(rs, lam, k):
+    return demazure_character(rs, lam, k).char.specialize_q1()
+
+
+def _graded_check(rs, check, params):
+    """The result of a battery check's demazure function, computed from the
+    graded characters summed over q, with the tuple-key product."""
+    k = params.get("level", 1)
+    lam = rs.coweight_from_fundamental(params["lam"])
+    if check == "smooth-locus":
+        q1 = _graded_q1(rs, lam, k)
+        return {mu: q1.get(rs.iota(mu), 0) for mu in dominant_coweights_below(rs, lam)}
+    mu = rs.coweight_from_fundamental(params["mu"])
+    if check == "domination":
+        big, small = _graded_q1(rs, lam, k), _graded_q1(rs, mu, k)
+        return all(big.get(w, 0) >= c for w, c in small.items())
+    a, b = (demazure_character(rs, x, k).char.at_q1() for x in (lam, mu))
+    lhs = _graded_q1(rs, lam + mu, k)
+    rhs = mul_reference(a, b).specialize_q1()
+    return TensorCheck(lhs == rhs, lhs, rhs)
+
+
+_Q1_CHECKS = {
+    "tensor": lambda rs, p, lam, k: tensor_product_check(
+        rs, lam, rs.coweight_from_fundamental(p["mu"]), k),
+    "smooth-locus": lambda rs, p, lam, k: smooth_locus_profile(rs, lam, k),
+    "domination": lambda rs, p, lam, k: restriction_domination_check(
+        rs, lam, rs.coweight_from_fundamental(p["mu"]), k),
+}
+
+
+@pytest.mark.parametrize("check,params", [
+    (c, p) for c, p, _ in identity_check_suite() if c in _Q1_CHECKS],
+    ids=lambda x: x if isinstance(x, str) else "%s%d-%s" % (
+        x["type"], x["rank"], ",".join(map(str, x["lam"] + x.get("mu", [])))))
+def test_q1_checks_match_the_graded_reference(check, params):
+    # tensor, smooth-locus and domination read the q = 1 kernel; on the
+    # battery's lambda lists they give what the graded characters give
+    rs = build_root_system(params["type"], params["rank"])
+    lam = rs.coweight_from_fundamental(params["lam"])
+    k = params.get("level", 1)
+    assert _Q1_CHECKS[check](rs, params, lam, k) == _graded_check(rs, check, params)
+    assert demazure_character(rs, lam, k, at_q1=True).char == \
+        demazure_character(rs, lam, k).char.at_q1()
+
+
+def test_tensor_returns_one_map_when_both_sides_agree():
+    rs = build_root_system("A", 2)
+    th = rs.highest_root_coroot
+    res = tensor_product_check(rs, th, th, 1)
+    assert res.holds and res.lhs is res.rhs
+
+
+def test_tensor_returns_both_maps_when_the_sides_differ(monkeypatch):
+    # a product scaled by 2 stands in for a failing factorization
+    rs = build_root_system("A", 1)
+    alpha = rs.simple_coroot(1)
+    mul = QCharacter.mul
+    monkeypatch.setattr(QCharacter, "mul", lambda a, b: mul(a, b).scale(2))
+    res = tensor_product_check(rs, alpha, alpha, 1)
+    assert not res.holds
+    assert res.rhs == {w: 2 * c for w, c in res.lhs.items()}
+
+
+def test_q1_character_takes_no_depth():
+    rs = build_root_system("A", 1)
+    with pytest.raises(ValueError):
+        demazure_character(rs, rs.simple_coroot(1), 1, depth=2, at_q1=True)
 
 
 # -- stabilization -----------------------------------------------------------------
